@@ -133,7 +133,7 @@ _COMMAND_DEFAULTS = {
 _NUMERICAL_ERRORS = (sub.NonConvergenceError, sub.DomainError,
                      eg.BracketNotFound, eg.FitUnstable,
                      rmt.EigensolverError, rmt.DegenerateError,
-                     np.linalg.LinAlgError, RuntimeError, FloatingPointError)
+                     np.linalg.LinAlgError, FloatingPointError)
 
 
 def parse_measure(key, spec):

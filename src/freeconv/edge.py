@@ -34,7 +34,6 @@ from .subordination import (
     SubordinationQuery,
     density_sweep,
     f_transform,
-    f_transform_derivative,
     solve,
 )
 
@@ -76,41 +75,13 @@ class StabilityDiagnostics:
 
 def _real_f(mu, t, x, k=0):
     """F_{mu,t} (k=0) or its k-th derivative at a real point beyond support."""
-    z = complex(x, 0.0)
-    if k == 0:
-        return f_transform(mu, t, z).real
-    return f_transform_derivative(mu, t, z, k).real
+    return f_transform(mu, t, complex(x, 0.0), k).real
 
 
 def _point_mass_location(mu):
-    if mu.family == "point_mass":
-        return mu.params[0]
-    if mu.family == "atoms":
-        locs = mu.locations
-        if len(locs) == 1:
-            return float(locs[0])
-    return None
-
-
-def _shifted(mu, c):
-    """The pushforward of mu under x -> x + c."""
-    if c == 0.0:
-        return mu
-    fam = mu.family
-    if fam == "semicircle":
-        var, center = mu.params
-        return ms.semicircle(var, center + c)
-    if fam == "uniform":
-        a, b = mu.params
-        return ms.uniform(a + c, b + c)
-    if fam == "arcsine":
-        a, b = mu.params
-        return ms.arcsine(a + c, b + c)
-    if fam == "point_mass":
-        return ms.point_mass(mu.params[0] + c)
-    if fam == "atoms":
-        return ms.atoms(np.asarray(mu.locations) + c, mu.weights)
-    return ms.grid_density(np.asarray(mu.nodes) + c, mu.values)
+    """The atom c when mu is the point mass at c, else None."""
+    s = mu.support()
+    return s.lower if s.lower == s.upper else None
 
 
 def _invert_f(mu, t, u, eps):
@@ -161,7 +132,7 @@ def _stability_at(mu1, mu2, t, w2, eps1):
     return a * d - 1.0, w1
 
 
-def _edge_core(mu1, mu2, t, tol):
+def _edge_core(mu1, mu2, t):
     """(e_plus, omega1, omega2, residual) for the upper edge.
 
     The shift case (t = 0 with a point-mass factor) is exact: the edge is the
@@ -262,19 +233,18 @@ def _edge_core(mu1, mu2, t, tol):
     return e_plus, w1, w2, abs(s_val)
 
 
-def find_edge_stability(mu1, mu2, t, tol=1e-10):
+def find_edge_stability(mu1, mu2, t):
     """Largest real zero of the stability function, packaged with the scale.
 
     gamma comes from the square-root density fit at t = 0 and from the xi
-    closed form at t > 0 whenever one factor is a point mass (the base
-    measure is then an exact translate); otherwise the density fit is used
-    at t > 0 as well.
+    closed form at t > 0 whenever one factor is a point mass delta_c: the
+    convolution is then the other factor convolved with sc(t), translated
+    by c, and gamma does not change under translation.  Otherwise the
+    density fit is used at t > 0 as well.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    if tol < 1e-12:
-        raise ValueError("tol must be >= 1e-12")
-    e_plus, w1, w2, resid = _edge_core(mu1, mu2, t, tol)
+    e_plus, w1, w2, resid = _edge_core(mu1, mu2, t)
 
     xi = None
     if t > 0.0:
@@ -283,16 +253,12 @@ def find_edge_stability(mu1, mu2, t, tol=1e-10):
 
     if t == 0.0:
         gamma = gamma_from_density_fit(mu1, mu2, t, e_plus)
+    elif _point_mass_location(mu2) is not None:
+        _, gamma = edge_from_xi(mu1, t)
+    elif _point_mass_location(mu1) is not None:
+        _, gamma = edge_from_xi(mu2, t)
     else:
-        c = _point_mass_location(mu2)
-        mu0 = _shifted(mu1, c) if c is not None else None
-        if mu0 is None:
-            c = _point_mass_location(mu1)
-            mu0 = _shifted(mu2, c) if c is not None else None
-        if mu0 is not None:
-            _, gamma = edge_from_xi(mu0, t)
-        else:
-            gamma = gamma_from_density_fit(mu1, mu2, t, e_plus)
+        gamma = gamma_from_density_fit(mu1, mu2, t, e_plus)
 
     return EdgeReport(
         e_plus=float(e_plus),
@@ -321,7 +287,7 @@ def solve_xi(mu0, t, tol=1e-12):
     target = 1.0 / t
 
     def mprime(x):
-        return ms.stieltjes_derivative(mu0, complex(x, 0.0), 1).real
+        return ms.stieltjes(mu0, complex(x, 0.0), 1).real
 
     gap = 1.0
     lo = None
@@ -355,7 +321,7 @@ def solve_xi(mu0, t, tol=1e-12):
     xi = 0.5 * (lo + hi)
     for _ in range(5):
         g = mprime(xi) - target
-        gp = ms.stieltjes_derivative(mu0, complex(xi, 0.0), 2).real
+        gp = ms.stieltjes(mu0, complex(xi, 0.0), 2).real
         if gp == 0.0:
             break
         step = g / gp
@@ -372,7 +338,7 @@ def edge_from_xi(mu0, t, tol=1e-12):
     """(e_plus, gamma) of mu0 convolved with a semicircle of variance t."""
     xi = solve_xi(mu0, t, tol)
     m = ms.stieltjes(mu0, complex(xi, 0.0)).real
-    mpp = ms.stieltjes_derivative(mu0, complex(xi, 0.0), 2).real
+    mpp = ms.stieltjes(mu0, complex(xi, 0.0), 2).real
     e_plus = xi - t * m
     gamma = (-(t ** 3) * 0.5 * mpp) ** (-1.0 / 3.0)
     return float(e_plus), float(gamma)
@@ -408,7 +374,7 @@ def classical_locations(mu1, mu2, t, n, top_k, window=1.0, grid_points=None):
     """
     if n <= 0 or top_k <= 0 or top_k > n:
         raise ValueError("need 0 < top_k <= n")
-    e_plus, _, _, _ = _edge_core(mu1, mu2, t, 1e-10)
+    e_plus, _, _, _ = _edge_core(mu1, mu2, t)
     targets = (np.arange(1, top_k + 1) - 0.5) / n
 
     s1, s2 = mu1.support(), mu2.support()
@@ -419,14 +385,18 @@ def classical_locations(mu1, mu2, t, n, top_k, window=1.0, grid_points=None):
     for _ in range(9):
         kap = w * np.linspace(0.0, 1.0, grid_points) ** 2
         rho, _, _ = density_sweep(mu1, mu2, t, (e_plus - kap)[::-1], eta_seq=_FIT_ETAS)
-        rho = np.where(np.isfinite(rho), rho, 0.0)[::-1]
+        failed = int(np.count_nonzero(~np.isfinite(rho)))
+        if failed:
+            raise FitUnstable("density solve failed at %d of %d points below the edge"
+                              % (failed, len(rho)))
+        rho = rho[::-1]
         tail = np.concatenate(
             ([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(kap)))
         )
         if tail[-1] >= targets[-1] + 0.2 / n or w >= span_cap:
             break
         w = min(1.7 * w, span_cap)
-    if tail[-1] <=  0.0:
+    if tail[-1] <= 0.0:
         raise FitUnstable("no absolutely continuous mass below the edge")
 
     keep = np.diff(tail, prepend=-1.0) > 0.0
@@ -448,10 +418,10 @@ def stability_diagnostics(mu1, mu2, t, z, edge):
     else:
         sol = solve(SubordinationQuery(mu1, mu2, t, zc), tol=1e-13)
         w1, w2 = sol.omega1, sol.omega2
-    f1p = f_transform_derivative(mu1, t, w1, 1)
-    f2p = f_transform_derivative(mu2, t, w2, 1)
-    f1pp = f_transform_derivative(mu1, t, w1, 2)
-    f2pp = f_transform_derivative(mu2, t, w2, 2)
+    f1p = f_transform(mu1, t, w1, 1)
+    f2p = f_transform(mu2, t, w2, 1)
+    f1pp = f_transform(mu1, t, w1, 2)
+    f2pp = f_transform(mu2, t, w2, 2)
     a = f1p - 1.0
     d = f2p - 1.0
     return StabilityDiagnostics(

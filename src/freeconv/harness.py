@@ -71,8 +71,6 @@ class ExperimentReport:
     config: dict
     stats: dict
     records: tuple
-    ecdf_grid: np.ndarray
-    ecdf_values: tuple
     wall_time: float
 
     def __post_init__(self):
@@ -128,8 +126,8 @@ def _checked_edge(mu1, mu2, t):
     rep = eg.find_edge_stability(mu1, mu2, t)
     diag = eg.stability_diagnostics(mu1, mu2, t, complex(rep.e_plus), rep)
     if abs(diag.s_value) > 1e-9:
-        raise RuntimeError("edge stability residual %.3e exceeds 1e-9"
-                           % abs(diag.s_value))
+        raise eg.BracketNotFound("edge stability residual %.3e exceeds 1e-9"
+                                 % abs(diag.s_value))
     return rep
 
 
@@ -138,10 +136,6 @@ def _map_indexed(fn, count, workers):
         return [fn(k) for k in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))
-
-
-def _ecdf(grid, values):
-    return np.searchsorted(np.sort(values), grid, side="right") / len(values)
 
 
 def _measure_echo(mu):
@@ -165,13 +159,7 @@ def _config_echo(cfg, **extra):
     return echo
 
 
-def _report(tag, cfg, statistic, threshold, stats, records, values_sets,
-            wall, extra_echo=None):
-    primary = values_sets[0]
-    lo, hi = float(np.min(primary)), float(np.max(primary))
-    if hi <= lo:
-        hi = lo + 1.0
-    grid = np.linspace(lo, hi, 101)
+def _report(tag, cfg, statistic, threshold, stats, records, wall, extra_echo=None):
     return ExperimentReport(
         tag=tag,
         n_samples=cfg.n_samples,
@@ -181,8 +169,6 @@ def _report(tag, cfg, statistic, threshold, stats, records, values_sets,
         config=_config_echo(cfg, **(extra_echo or {})),
         stats=stats,
         records=tuple(records),
-        ecdf_grid=grid,
-        ecdf_values=tuple(_ecdf(grid, v) for v in values_sets),
         wall_time=wall,
     )
 
@@ -201,16 +187,17 @@ def run_tw_experiment(cfg):
 
     xs = np.array(_map_indexed(one, cfg.n_samples, cfg.workers))
     ks = ks_statistic(xs, lambda s: tw_cdf_extended(ev, s))
+    tw_mean, tw_variance = tw.tw2_moments(ev)
     stats = {
         "e_plus": rep.e_plus,
         "gamma": rep.gamma,
         "mean_rescaled": float(np.mean(xs)),
         "variance_rescaled": float(np.var(xs)),
-        "tw_mean": tw.tw2_mean(ev),
-        "tw_variance": tw.tw2_variance(ev),
+        "tw_mean": tw_mean,
+        "tw_variance": tw_variance,
     }
     records = [{"sample_index": k, "value": float(v)} for k, v in enumerate(xs)]
-    return _report("tw", cfg, ks, cfg.ks_threshold, stats, records, (xs,),
+    return _report("tw", cfg, ks, cfg.ks_threshold, stats, records,
                    time.perf_counter() - start)
 
 
@@ -235,7 +222,6 @@ def run_local_law_experiment(cfg):
     per_size = {}
     records = []
     medians = []
-    largest_errors = None
     for n in cfg.sizes:
         a = ms.quantiles(cfg.mu1, n)
         b = ms.quantiles(cfg.mu2, n)
@@ -276,13 +262,12 @@ def run_local_law_experiment(cfg):
                             "avg_error": float(avg[k]),
                             "upsilon": float(ups[k]),
                             "subordination_error": float(subord[k])})
-        largest_errors = entry
         medians.append(float(np.median(local)))
     ratio = medians[-1] / medians[0]
     stats = {"e_plus": edge_rep.e_plus, "per_size": {str(n): per_size[n] for n in cfg.sizes},
              "entry_medians": medians, "decay_ratio": ratio}
     return _report("local-law", cfg, ratio, cfg.ks_threshold, stats, records,
-                   (largest_errors,), time.perf_counter() - start,
+                   time.perf_counter() - start,
                    extra_echo={"sizes": list(cfg.sizes)})
 
 
@@ -304,7 +289,7 @@ def run_rigidity_experiment(cfg):
              "median_r": float(np.median(rs)), "top_k": cfg.top_k}
     records = [{"sample_index": k, "value": float(v)} for k, v in enumerate(rs)]
     return _report("rigidity", cfg, pct, cfg.rigidity_limit, stats, records,
-                   (rs,), time.perf_counter() - start,
+                   time.perf_counter() - start,
                    extra_echo={"top_k": cfg.top_k, "rigidity_limit": cfg.rigidity_limit})
 
 
@@ -344,7 +329,7 @@ def run_dbm_comparison(cfg, t0=None):
              "mean_base": float(np.mean(x0)), "mean_flowed": float(np.mean(x1))}
     records = [{"sample_index": k, "value": float(a), "value_flowed": float(b)}
                for k, (a, b) in enumerate(pairs)]
-    return _report("dbm", cfg, ks, cfg.ks_threshold, stats, records, (x0, x1),
+    return _report("dbm", cfg, ks, cfg.ks_threshold, stats, records,
                    time.perf_counter() - start, extra_echo={"t0": float(t0)})
 
 

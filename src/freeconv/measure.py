@@ -2,7 +2,8 @@
 
 A measure is either a finite set of weighted atoms, a density sampled on a
 grid with quadrature weights, or one of the analytic families semicircle,
-uniform, arcsine, point_mass.  The Stieltjes transform convention is
+uniform, arcsine.  A point mass is a one-atom measure whose transform keeps
+its own closed form.  The Stieltjes transform convention is
 
     m_mu(z) = int (x - z)^{-1} dmu(x),
 
@@ -72,9 +73,7 @@ class Measure:
         if self.family in ("uniform", "arcsine"):
             a, b = self.params
             return SupportInfo(a, b)
-        if self.family == "point_mass":
-            return SupportInfo(self.params[0], self.params[0])
-        if self.family == "atoms":
+        if self._locations is not None:
             return SupportInfo(float(self._locations[0]), float(self._locations[-1]))
         # grid: trim nodes whose density is negligible relative to the peak
         vals = self._values
@@ -134,8 +133,8 @@ def arcsine(a, b):
 
 
 def point_mass(c):
-    """Unit mass at the point c."""
-    return Measure("point_mass", (c,))
+    """Unit mass at the point c, stored as a one-atom measure."""
+    return Measure("point_mass", (c,), locations=_readonly([c]), weights=_readonly([1.0]))
 
 
 def atoms(locations, weights):
@@ -194,18 +193,6 @@ def from_config(tag, params):
     return builders[tag](params)
 
 
-def _check_point(mu, z):
-    z = complex(z)
-    if z.imag < 0:
-        raise ValueError("stieltjes requires im z >= 0, got %r" % (z,))
-    if z.imag == 0:
-        s = mu.support()
-        if s.lower <= z.real <= s.upper:
-            raise ValueError("real z=%g lies inside the support interval [%g, %g]"
-                             % (z.real, s.lower, s.upper))
-    return z
-
-
 def _arcsine_panels(mu, z):
     """Gauss-Legendre nodes/weights in theta for the arcsine integral.
 
@@ -239,52 +226,43 @@ def _arcsine_panels(mu, z):
     return c + r * np.cos(th), wt
 
 
-def stieltjes(mu, z):
-    """Stieltjes transform m_mu(z) = int (x - z)^{-1} dmu(x).
+def _pole_sum(mass, locs, z, k):
+    """k-th derivative of sum_j mass_j / (locs_j - z)."""
+    if k == 0:
+        return complex(np.sum(mass / (locs - z)))
+    return complex(float(math.factorial(k)) * np.sum(mass * (locs - z) ** (-(k + 1))))
 
+
+def stieltjes(mu, z, k=0):
+    """Stieltjes transform m_mu(z) = int (x - z)^{-1} dmu(x) or its k-th derivative.
+
+    k in {0, 1, 2, 3}; the k-th derivative is k! * int (x - z)^{-(k+1)} dmu(x).
     Accepts im z > 0 or real z outside the support interval.
     """
-    z = _check_point(mu, z)
+    z = complex(z)
+    if z.imag < 0:
+        raise ValueError("stieltjes requires im z >= 0, got %r" % (z,))
+    if z.imag == 0:
+        sup = mu.support()
+        if sup.lower <= z.real <= sup.upper:
+            raise ValueError("real z=%g lies inside the support interval [%g, %g]"
+                             % (z.real, sup.lower, sup.upper))
     fam = mu.family
-    if fam == "point_mass":
+    # the subordination iteration spends most of its calls here: keep the
+    # k = 0 point-mass return ahead of every other check
+    if fam == "point_mass" and k == 0:
         return 1.0 / (mu.params[0] - z)
-    if fam == "semicircle":
-        var, center = mu.params
-        w = z - center
-        r = 2.0 * np.sqrt(var)
-        s = np.sqrt(complex(w - r)) * np.sqrt(complex(w + r))
-        return complex((-w + s) / (2.0 * var))
-    if fam == "uniform":
-        a, b = mu.params
-        if z.imag == 0.0:
-            x = z.real
-            return complex((np.log(abs(b - x)) - np.log(abs(a - x))) / (b - a))
-        return complex((np.log(b - z) - np.log(a - z)) / (b - a))
-    if fam == "arcsine":
-        xs, wt = _arcsine_panels(mu, z)
-        return complex(np.sum(wt / (xs - z)))
-    if fam == "atoms":
-        return complex(np.sum(mu.weights / (mu.locations - z)))
-    return complex(np.sum(mu._eff_mass / (mu._eff_locs - z)))
-
-
-def stieltjes_derivative(mu, z, k):
-    """k-th derivative of the Stieltjes transform, k in {1, 2, 3}.
-
-    Equals k! * int (x - z)^{-(k+1)} dmu(x).
-    """
-    if k not in (1, 2, 3):
-        raise ValueError("k must be in {1, 2, 3}")
-    z = _check_point(mu, z)
-    fam = mu.family
-    fact = float(math.factorial(k))
+    if k not in (0, 1, 2, 3):
+        raise ValueError("k must be in {0, 1, 2, 3}")
     if fam == "point_mass":
-        return fact * (mu.params[0] - z) ** (-(k + 1))
+        return float(math.factorial(k)) * (mu.params[0] - z) ** (-(k + 1))
     if fam == "semicircle":
         var, center = mu.params
         w = z - center
         r = 2.0 * np.sqrt(var)
         s = np.sqrt(complex(w - r)) * np.sqrt(complex(w + r))
+        if k == 0:
+            return complex((-w + s) / (2.0 * var))
         if k == 1:
             return complex((-1.0 + w / s) / (2.0 * var))
         if k == 2:
@@ -292,6 +270,11 @@ def stieltjes_derivative(mu, z, k):
         return complex(6.0 * w / s ** 5)
     if fam == "uniform":
         a, b = mu.params
+        if k == 0:
+            if z.imag == 0.0:
+                x = z.real
+                return complex((np.log(abs(b - x)) - np.log(abs(a - x))) / (b - a))
+            return complex((np.log(b - z) - np.log(a - z)) / (b - a))
         za, zb = a - z, b - z
         if k == 1:
             return complex((1.0 / za - 1.0 / zb) / (b - a))
@@ -300,18 +283,20 @@ def stieltjes_derivative(mu, z, k):
         return complex(2.0 * (1.0 / za ** 3 - 1.0 / zb ** 3) / (b - a))
     if fam == "arcsine":
         xs, wt = _arcsine_panels(mu, z)
-        return complex(fact * np.sum(wt * (xs - z) ** (-(k + 1))))
+        return _pole_sum(wt, xs, z, k)
     if fam == "atoms":
-        return complex(fact * np.sum(mu.weights * (mu.locations - z) ** (-(k + 1))))
-    return complex(fact * np.sum(mu._eff_mass * (mu._eff_locs - z) ** (-(k + 1))))
+        return _pole_sum(mu.weights, mu.locations, z, k)
+    return _pole_sum(mu._eff_mass, mu._eff_locs, z, k)
 
 
 def cdf(mu, x):
     """Distribution function mu((-inf, x]), vectorized over x."""
     x = np.asarray(x, dtype=float)
     fam = mu.family
-    if fam == "point_mass":
-        return (x >= mu.params[0]).astype(float)
+    if mu.locations is not None:
+        idx = np.searchsorted(mu.locations, x, side="right")
+        cum = np.concatenate([[0.0], np.cumsum(mu.weights)])
+        return cum[idx]
     if fam == "semicircle":
         var, center = mu.params
         r = 2.0 * np.sqrt(var)
@@ -324,10 +309,6 @@ def cdf(mu, x):
         a, b = mu.params
         u = np.clip((2.0 * x - a - b) / (b - a), -1.0, 1.0)
         return 0.5 + np.arcsin(u) / np.pi
-    if fam == "atoms":
-        idx = np.searchsorted(mu.locations, x, side="right")
-        cum = np.concatenate([[0.0], np.cumsum(mu.weights)])
-        return cum[idx]
     return np.interp(x, mu.nodes, mu._grid_cdf, left=0.0, right=1.0)
 
 

@@ -55,21 +55,17 @@ class SubordinationSolution:
     converged: bool
 
 
-def f_transform(mu, t, z):
-    """F_{mu,t}(z) = -1/m_mu(z) + t m_mu(z)."""
+def f_transform(mu, t, z, k=0):
+    """F_{mu,t}(z) = -1/m_mu(z) + t m_mu(z) (k = 0) or its k-th derivative, k in {1, 2}."""
     m = ms.stieltjes(mu, z)
-    return -1.0 / m + t * m
-
-
-def f_transform_derivative(mu, t, z, k):
-    """Derivative of F_{mu,t}; k = 1 or 2."""
+    if k == 0:
+        return -1.0 / m + t * m
     if k not in (1, 2):
-        raise ValueError("k must be 1 or 2")
-    m = ms.stieltjes(mu, z)
-    m1 = ms.stieltjes_derivative(mu, z, 1)
+        raise ValueError("k must be in {0, 1, 2}")
+    m1 = ms.stieltjes(mu, z, 1)
     if k == 1:
         return m1 / m ** 2 + t * m1
-    m2 = ms.stieltjes_derivative(mu, z, 2)
+    m2 = ms.stieltjes(mu, z, 2)
     return m2 / m ** 2 - 2.0 * m1 ** 2 / m ** 3 + t * m2
 
 
@@ -115,8 +111,8 @@ def _newton_real(mu1, mu2, t, z, w1, w2, tol, max_iter=200):
     for it in range(1, max_iter + 1):
         if res <= tol:
             return w1, w2, res, it
-        a = (f_transform_derivative(mu1, t, w1, 1) - 1.0).real
-        d = (f_transform_derivative(mu2, t, w2, 1) - 1.0).real
+        a = (f_transform(mu1, t, w1, 1) - 1.0).real
+        d = (f_transform(mu2, t, w2, 1) - 1.0).real
         det = a * d - 1.0
         if det == 0.0:
             break

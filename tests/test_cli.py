@@ -116,6 +116,18 @@ def test_numerical_failure_exit_3(tmp_path):
                "--out-dir", str(tmp_path)) == 3
 
 
+def test_programming_error_is_not_exit_3(tmp_path, monkeypatch):
+    # exit code 3 is for the package's numerical error types only; any other
+    # RuntimeError is a bug and propagates
+    def broken(*args):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cli.eg, "find_edge_stability", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        run("edge", "--mu1", "semicircle:1", "--mu2", "semicircle:1",
+            "--out-dir", str(tmp_path))
+
+
 def test_config_file_with_flag_override(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"command": "verify-tw", "n": 80,

@@ -112,7 +112,7 @@ def test_solve_xi_resubstitution():
     mu = ms.uniform(-1.0, 1.0)
     xi = eg.solve_xi(mu, 0.5)
     assert xi > 1.0
-    assert abs(ms.stieltjes_derivative(mu, complex(xi, 0.0), 1).real - 2.0) < 1e-10
+    assert abs(ms.stieltjes(mu, complex(xi, 0.0), 1).real - 2.0) < 1e-10
 
 
 def test_edge_from_xi_semicircle():
@@ -130,20 +130,25 @@ def test_xi_validation():
     with pytest.raises(ValueError):
         eg.solve_xi(ms.semicircle(1.0), -1.0)
     with pytest.raises(ValueError):
-        eg.find_edge_stability(ms.semicircle(1.0), ms.semicircle(1.0), 0.0, tol=1e-13)
-    with pytest.raises(ValueError):
         eg.find_edge_stability(ms.semicircle(1.0), ms.semicircle(1.0), -0.1)
 
 
-@pytest.mark.parametrize("t", [0.25, 1.0])
-@pytest.mark.parametrize("tag", ["semicircle", "uniform"])
-def test_cross_method_agreement(tag, t):
+_CROSS_CASES = [(tag, t, c) for c in (0.0, 0.7) for tag in ("semicircle", "uniform")
+                for t in (0.25, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "tag,t,c", _CROSS_CASES,
+    ids=["%s-%s" % (tag, t) + ("-shift%s" % c if c else "") for tag, t, c in _CROSS_CASES],
+)
+def test_cross_method_agreement(tag, t, c):
+    # a point mass at c translates mu0 (+) sc(t) by c and leaves gamma as is
     mu0 = ms.semicircle(1.0) if tag == "semicircle" else ms.uniform(-1, 1)
     e_xi, g_xi = eg.edge_from_xi(mu0, t)
-    rep = eg.find_edge_stability(mu0, ms.point_mass(0.0), t)
-    assert abs(rep.e_plus - e_xi) <= 1e-6
-    assert abs(rep.gamma - g_xi) <= 1e-9
-    assert rep.xi is not None and abs(rep.xi - eg.solve_xi(mu0, t)) < 1e-7
+    rep = eg.find_edge_stability(mu0, ms.point_mass(c), t)
+    assert abs(rep.e_plus - (e_xi + c)) <= 1e-6
+    assert rep.gamma == g_xi
+    assert rep.xi is not None and abs(rep.xi - (eg.solve_xi(mu0, t) + c)) < 1e-7
 
 
 def test_edge_from_xi_on_grid_base_measure():
@@ -195,6 +200,20 @@ def test_classical_locations_uniform_resubstitution():
         sel = grid >= locs[j - 1]
         mass = np.trapezoid(rho[sel], grid[sel])
         assert abs(mass - (j - 0.5) / 1000.0) < 2e-4
+
+
+def test_classical_locations_reject_failed_density(monkeypatch):
+    # a density point the solver could not resolve must not count as zero mass
+    real_sweep = eg.density_sweep
+
+    def one_failure(*args, **kwargs):
+        rho, resid, iters = real_sweep(*args, **kwargs)
+        rho[len(rho) // 2] = np.nan
+        return rho, resid, iters
+
+    monkeypatch.setattr(eg, "density_sweep", one_failure)
+    with pytest.raises(eg.FitUnstable):
+        eg.classical_locations(ms.semicircle(1.0), ms.semicircle(1.0), 0.0, 100, 5)
 
 
 def test_classical_locations_validation():

@@ -60,16 +60,19 @@ def test_arcsine_small_eta_near_support():
 
 
 def test_derivative_examples():
-    assert abs(ms.stieltjes_derivative(ms.semicircle(1.0), 3.0 / math.sqrt(2.0), 1) - 1.0) < 1e-12
-    assert abs(ms.stieltjes_derivative(ms.point_mass(0.0), 2.0, 2) - (-0.25)) < 1e-15
-    assert abs(ms.stieltjes_derivative(ms.uniform(-1.0, 1.0), 2.0, 1) - (1.0 / 3.0)) < 1e-14
+    assert abs(ms.stieltjes(ms.semicircle(1.0), 3.0 / math.sqrt(2.0), 1) - 1.0) < 1e-12
+    assert abs(ms.stieltjes(ms.point_mass(0.0), 2.0, 2) - (-0.25)) < 1e-15
+    assert abs(ms.stieltjes(ms.uniform(-1.0, 1.0), 2.0, 1) - (1.0 / 3.0)) < 1e-14
+    # k = 0 is the transform itself
+    assert ms.stieltjes(ms.uniform(-1.0, 1.0), 2.0, 0) == ms.stieltjes(ms.uniform(-1.0, 1.0), 2.0)
 
 
 def test_derivative_rejects_bad_order():
-    with pytest.raises(ValueError):
-        ms.stieltjes_derivative(ms.semicircle(1.0), 2j, 4)
-    with pytest.raises(ValueError):
-        ms.stieltjes_derivative(ms.semicircle(1.0), 2j, 0)
+    for k in (4, -1):
+        with pytest.raises(ValueError):
+            ms.stieltjes(ms.semicircle(1.0), 2j, k)
+        with pytest.raises(ValueError):
+            ms.stieltjes(ms.point_mass(0.0), 2j, k)
 
 
 def test_real_z_inside_support_rejected():
@@ -158,16 +161,14 @@ def test_decay_at_infinity(fam):
 
 def test_derivative_matches_finite_difference():
     h = 1e-5
+    x = np.linspace(-1.0, 1.0, 201)
     for mu in [ms.semicircle(1.3, -0.4), ms.uniform(-1.0, 2.0), ms.arcsine(-1.0, 1.0),
-               ms.atoms([-1.0, 1.0], [0.4, 0.6])]:
+               ms.atoms([-1.0, 1.0], [0.4, 0.6]), ms.point_mass(0.3),
+               ms.grid_density(x, 0.75 * (1.0 - x ** 2))]:
         for z in [0.3 + 0.5j, -1.0 + 0.2j, 2.0 + 1.0j]:
-            fd = (ms.stieltjes(mu, z + h) - ms.stieltjes(mu, z - h)) / (2 * h)
-            d1 = ms.stieltjes_derivative(mu, z, 1)
-            assert abs(fd - d1) / abs(d1) < 1e-6
-            fd2 = (ms.stieltjes_derivative(mu, z + h, 1) - ms.stieltjes_derivative(mu, z - h, 1)) / (2 * h)
-            assert abs(fd2 - ms.stieltjes_derivative(mu, z, 2)) / abs(fd2) < 1e-6
-            fd3 = (ms.stieltjes_derivative(mu, z + h, 2) - ms.stieltjes_derivative(mu, z - h, 2)) / (2 * h)
-            assert abs(fd3 - ms.stieltjes_derivative(mu, z, 3)) / abs(fd3) < 1e-6
+            for k in (1, 2, 3):
+                fd = (ms.stieltjes(mu, z + h, k - 1) - ms.stieltjes(mu, z - h, k - 1)) / (2 * h)
+                assert abs(fd - ms.stieltjes(mu, z, k)) / abs(fd) < 1e-6
 
 
 def test_from_config_round_trip():

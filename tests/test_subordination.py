@@ -29,9 +29,12 @@ def test_f_transform_examples():
 
 
 def test_f_transform_derivative_examples():
-    val = sub.f_transform_derivative(ms.semicircle(1.0), 0.0, 3.0 * math.sqrt(2.0) / 2.0, 1)
+    val = sub.f_transform(ms.semicircle(1.0), 0.0, 3.0 * math.sqrt(2.0) / 2.0, 1)
     assert abs(val - 2.0) < 1e-12
-    assert abs(sub.f_transform_derivative(ms.point_mass(0.3), 0.0, 1.0 + 1j, 1) - 1.0) < 1e-13
+    assert abs(sub.f_transform(ms.point_mass(0.3), 0.0, 1.0 + 1j, 1) - 1.0) < 1e-13
+    for k in (3, -1):
+        with pytest.raises(ValueError):
+            sub.f_transform(ms.semicircle(1.0), 0.0, 2j, k)
 
 
 def test_f_transform_derivative_matches_finite_difference():
@@ -40,11 +43,10 @@ def test_f_transform_derivative_matches_finite_difference():
         for t in (0.0, 0.7):
             for z in (0.4 + 0.6j, 2.5 + 0.3j):
                 fd1 = (sub.f_transform(mu, t, z + h) - sub.f_transform(mu, t, z - h)) / (2 * h)
-                d1 = sub.f_transform_derivative(mu, t, z, 1)
+                d1 = sub.f_transform(mu, t, z, 1)
                 assert abs(fd1 - d1) / abs(d1) < 1e-6
-                fd2 = (sub.f_transform_derivative(mu, t, z + h, 1)
-                       - sub.f_transform_derivative(mu, t, z - h, 1)) / (2 * h)
-                d2 = sub.f_transform_derivative(mu, t, z, 2)
+                fd2 = (sub.f_transform(mu, t, z + h, 1) - sub.f_transform(mu, t, z - h, 1)) / (2 * h)
+                d2 = sub.f_transform(mu, t, z, 2)
                 assert abs(fd2 - d2) / abs(d2) < 1e-6
 
 
