@@ -77,7 +77,6 @@ _KEY_SPECS = {
     "sizes": (_cast_sizes, "matrix sizes for verify-local-law, at least three"),
     "top_k": (_cast_int, "eigenvalue count scored by verify-rigidity"),
     "rigidity_limit": (_cast_float, "bound on the 95th-percentile rigidity statistic"),
-    "workers": (_cast_int, "thread workers for sample-level parallelism"),
     "out_dir": (_cast_str, "directory receiving the output files"),
     "grid_lo": (_cast_float, "left end of the density grid (default: support bound)"),
     "grid_hi": (_cast_float, "right end of the density grid (default: support bound)"),
@@ -98,17 +97,17 @@ _COMMAND_KEYS = {
     "tabulate-tw": ("s_lo", "s_hi", "s_points", "out_dir"),
     "sample": ("mu1", "mu2", "t", "n", "seed", "out_dir"),
     "verify-tw": ("mu1", "mu2", "t", "n", "n_samples", "seed", "ks_threshold",
-                  "workers", "out_dir"),
+                  "out_dir"),
     "verify-local-law": ("mu1", "mu2", "t", "sizes", "n_samples", "seed",
-                         "ks_threshold", "eta_exponent", "workers", "out_dir"),
+                         "ks_threshold", "eta_exponent", "out_dir"),
     "verify-rigidity": ("mu1", "mu2", "t", "n", "n_samples", "seed", "top_k",
-                        "rigidity_limit", "workers", "out_dir"),
+                        "rigidity_limit", "out_dir"),
     "verify-dbm": ("mu1", "mu2", "t", "n", "n_samples", "seed", "chi",
-                   "ks_threshold", "workers", "out_dir"),
+                   "ks_threshold", "out_dir"),
     "decompose-check": ("n", "n_samples", "seed", "tol", "out_dir"),
 }
 
-_COMMON_DEFAULTS = {"t": 0.0, "seed": 1, "workers": 1, "out_dir": "."}
+_COMMON_DEFAULTS = {"t": 0.0, "seed": 1, "out_dir": "."}
 
 # Bare verify commands reproduce the reference experiments, so the GUE
 # control and the uniform-by-uniform comparisons run with no flags at all.
@@ -197,7 +196,7 @@ def resolve_config(command, args):
 
     if "t" in merged and merged["t"] < 0:
         raise ConfigError("t must be >= 0")
-    for key in ("n", "n_samples", "workers", "top_k"):
+    for key in ("n", "n_samples", "top_k"):
         if key in merged and merged[key] < 1:
             raise ConfigError("%s must be >= 1" % key)
     for key in ("grid_points", "s_points"):
@@ -211,6 +210,10 @@ def resolve_config(command, args):
         raise ConfigError("ks_threshold must lie in (0, 1)")
     if "chi" in merged and not 0.0 < merged["chi"] < 1.0 / 3.0:
         raise ConfigError("chi must lie in (0, 1/3)")
+    if "eta_exponent" in merged and not 0.0 < merged["eta_exponent"] < 1.0:
+        raise ConfigError("eta_exponent must lie in (0, 1)")
+    if "top_k" in merged and merged["top_k"] > merged["n"]:
+        raise ConfigError("top_k must be <= n")
     if "sizes" in merged:
         if len(merged["sizes"]) < 3:
             raise ConfigError("sizes needs at least three entries")
@@ -251,7 +254,7 @@ def _experiment_config(cfg, **extra):
     n = extra.pop("n", None)
     mu1, mu2, spec = _embedded_spec(cfg, n=n)
     kwargs = dict(ensemble=spec, n_samples=cfg["n_samples"], mu1=mu1, mu2=mu2,
-                  t=cfg["t"], workers=cfg["workers"])
+                  t=cfg["t"])
     for key in ("ks_threshold", "eta_exponent", "chi", "top_k", "rigidity_limit"):
         if key in cfg:
             kwargs[key] = cfg[key]

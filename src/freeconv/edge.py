@@ -84,6 +84,57 @@ def _point_mass_location(mu):
     return s.lower if s.lower == s.upper else None
 
 
+def _newton_root(f, lo, hi):
+    """Root of f in the bracket (lo, hi), by Newton steps kept inside it.
+
+    f(x) returns (g, g') with g increasing through the root (g <= 0 on the
+    lo side, g > 0 on the hi side), or None for a lo-side point where g is
+    undefined.  Each evaluation tightens the bracket; a Newton step from
+    the latest iterate, on either side of the root, is taken when it stays
+    inside, and otherwise, or from a None point, the bracket is bisected.
+    Returns once a step moves the iterate by at most 1e-15 relative.
+    """
+    x = 0.5 * (lo + hi)
+    for _ in range(200):
+        ev = f(x)
+        if ev is not None and ev[0] > 0.0:
+            hi = x
+        else:
+            lo = x
+        cand = 0.5 * (lo + hi)
+        if ev is not None and ev[1] > 0.0:
+            newton = x - ev[0] / ev[1]
+            if lo <= newton <= hi:
+                cand = newton
+        if abs(cand - x) <= 1e-15 * max(1.0, abs(x)):
+            return cand
+        x = cand
+    return x
+
+
+def _march(is_hi, floor, gap, factor, bound):
+    """Bracket a root on the points floor + gap * factor**k, k = 0, 1, ...
+
+    An upward march (factor > 1) stops at the first point where is_hi holds
+    and returns (previous point, that point); a downward march (factor < 1)
+    stops at the first point where it fails and returns (that point,
+    previous point).  Before the first point the previous one is the floor
+    upward, which must lie on the lo side, and floor + gap / factor
+    downward, which must lie on the hi side.  Raises BracketNotFound once
+    the gap passes bound: above it upward, below it downward.
+    """
+    upward = factor > 1.0
+    prev = floor if upward else floor + gap / factor
+    while (gap <= bound) if upward else (gap >= bound):
+        x = floor + gap
+        if is_hi(x) == upward:
+            return (prev, x) if upward else (x, prev)
+        prev = x
+        gap *= factor
+    raise BracketNotFound("no sign change on floor %r + gap * %g**k before gap %g"
+                          % (floor, factor, bound))
+
+
 def _invert_f(mu, t, u, eps):
     """Real w beyond the support of mu with F_{mu,t}(w) = u.
 
@@ -96,40 +147,24 @@ def _invert_f(mu, t, u, eps):
     if not flo < u:
         return None
     step = max(1.0, u - flo)
-    hi = lo + step
-    for _ in range(80):
-        if _real_f(mu, t, hi) >= u:
-            break
-        step *= 2.0
-        hi = lo + step
-    else:
+    try:
+        lo, hi = _march(lambda w: _real_f(mu, t, w) >= u, lo, step, 2.0, step * 2.0 ** 79)
+    except BracketNotFound:
         return None
-    w = 0.5 * (lo + hi)
-    for _ in range(200):
-        fw = _real_f(mu, t, w) - u
-        if fw > 0.0:
-            hi = w
-        else:
-            lo = w
-        d = _real_f(mu, t, w, 1)
-        wn = w - fw / d if d > 0.0 else 0.5 * (lo + hi)
-        if not lo < wn < hi:
-            wn = 0.5 * (lo + hi)
-        if abs(wn - w) <= 1e-15 * max(1.0, abs(w)):
-            return wn
-        w = wn
-    return w
+    return _newton_root(lambda w: (_real_f(mu, t, w) - u, _real_f(mu, t, w, 1)), lo, hi)
 
 
 def _stability_at(mu1, mu2, t, w2, eps1):
-    """(S, w1) at a real w2 beyond the support of mu2, or None inside the band."""
-    u = _real_f(mu2, t, w2)
-    w1 = _invert_f(mu1, t, u, eps1)
+    """(S, dS/dw2, w1) at a real w2 beyond the support of mu2, or None inside the band."""
+    w1 = _invert_f(mu1, t, _real_f(mu2, t, w2), eps1)
     if w1 is None:
         return None
-    a = _real_f(mu1, t, w1, 1) - 1.0
-    d = _real_f(mu2, t, w2, 1) - 1.0
-    return a * d - 1.0, w1
+    f1p = _real_f(mu1, t, w1, 1)
+    f2p = _real_f(mu2, t, w2, 1)
+    # dS/dw2 with dw1/dw2 = F2'/F1' along the matched curve
+    ds = (_real_f(mu1, t, w1, 2) * (f2p / f1p) * (f2p - 1.0)
+          + (f1p - 1.0) * _real_f(mu2, t, w2, 2))
+    return (f1p - 1.0) * (f2p - 1.0) - 1.0, ds, w1
 
 
 def _edge_core(mu1, mu2, t):
@@ -158,77 +193,32 @@ def _edge_core(mu1, mu2, t):
             return e_plus, f_o + c, w_o, 0.0
 
     eps1 = 1e-9 * max(1.0, abs(s1.upper))
+
+    def minus_s(w2):
+        ev = _stability_at(mu1, mu2, t, w2, eps1)
+        return None if ev is None else (-ev[0], -ev[1])
+
+    def is_hi(w2):
+        ev = minus_s(w2)
+        return ev is not None and ev[0] > 0.0
+
     e_hi = s1.upper + s2.upper + 2.0 * math.sqrt(t) + 1.0
-    start = solve(SubordinationQuery(mu1, mu2, t, e_hi), tol=1e-13)
-    hi = start.omega2.real
+    start = solve(SubordinationQuery(mu1, mu2, t, e_hi), tol=1e-13).omega2.real
     floor = s2.upper
-    ev = _stability_at(mu1, mu2, t, hi, eps1)
-    for _ in range(60):
-        if ev is not None and ev[0] < 0.0:
-            break
-        hi = floor + 2.0 * (hi - floor)
-        ev = _stability_at(mu1, mu2, t, hi, eps1)
-    else:
-        raise BracketNotFound("no starting point with S < 0 beyond the support")
-
-    # march the gap to the support down geometrically until the sign flips
-    # or the partner inversion fails (both mean the band has been entered)
-    lo = None
-    gap = hi - floor
-    for _ in range(400):
-        gap *= 0.85
-        cand = floor + gap
-        ev = _stability_at(mu1, mu2, t, cand, eps1)
-        if ev is None or ev[0] >= 0.0:
-            lo = cand
-            break
-        hi = cand
-        if gap <= 1e-13 * max(1.0, abs(floor)):
-            break
-    if lo is None:
-        raise BracketNotFound("stability function stays negative above the support")
-
-    for _ in range(200):
-        if hi - lo <= 1e-6 * max(1.0, abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        ev = _stability_at(mu1, mu2, t, mid, eps1)
-        if ev is None or ev[0] >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-    w2 = hi
+    # S < 0 at the start point or above it; then march the gap to the
+    # support down until the sign flips or the partner inversion fails
+    # (both mean the band has been entered)
+    _, hi = _march(is_hi, floor, start - floor, 2.0, (start - floor) * 2.0 ** 59)
+    lo, hi = _march(is_hi, floor, 0.85 * (hi - floor), 0.85, 1e-13 * max(1.0, abs(floor)))
+    w2 = _newton_root(minus_s, lo, hi)
     ev = _stability_at(mu1, mu2, t, w2, eps1)
-    s_val, w1 = ev
-    for _ in range(80):
-        if abs(s_val) <= 1e-13:
-            break
-        f1p = _real_f(mu1, t, w1, 1)
-        f2p = _real_f(mu2, t, w2, 1)
-        f1pp = _real_f(mu1, t, w1, 2)
-        f2pp = _real_f(mu2, t, w2, 2)
-        # dS/dw2 with dw1/dw2 = F2'/F1' along the matched curve
-        sp = f1pp * (f2p / f1p) * (f2p - 1.0) + (f1p - 1.0) * f2pp
-        cand = w2 - s_val / sp if sp != 0.0 else 0.5 * (lo + hi)
-        if not lo < cand < hi:
-            cand = 0.5 * (lo + hi)
-        ev = _stability_at(mu1, mu2, t, cand, eps1)
-        if ev is None or ev[0] >= 0.0:
-            lo = cand
-            if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-                break
-            continue
-        if abs(cand - w2) <= 1e-15 * max(1.0, abs(w2)) and abs(ev[0]) >= abs(s_val):
-            w2, (s_val, w1) = cand, ev
-            break
-        w2, (s_val, w1) = cand, ev
-        hi = min(hi, cand)
+    s_val = math.inf if ev is None else ev[0]
     if abs(s_val) > 1e-3:
         raise BracketNotFound(
             "stability function does not vanish above the support "
             "(residual %.3g); the edge is not of square-root type" % abs(s_val)
         )
+    w1 = ev[2]
     e_plus = w1 + w2 - _real_f(mu2, t, w2)
     return e_plus, w1, w2, abs(s_val)
 
@@ -272,71 +262,36 @@ def find_edge_stability(mu1, mu2, t):
     )
 
 
-def solve_xi(mu0, t, tol=1e-12):
+def solve_xi(mu0, t):
     """Rightmost xi above the support of mu0 with m'_{mu0}(xi) = 1/t.
 
     m' is positive and strictly decreasing beyond the support, so a bracket
-    always pins the root; the search window grows geometrically and is capped
-    at 1e6.
+    always pins the root.  The search window doubles from the support edge
+    plus one up to a cap of 1e6, or halves toward the edge when that first
+    point already lies beyond the root.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     up = mu0.support().upper
     target = 1.0 / t
 
-    def mprime(x):
-        return ms.stieltjes(mu0, complex(x, 0.0), 1).real
+    def g(x):
+        z = complex(x, 0.0)
+        return target - ms.stieltjes(mu0, z, 1).real, -ms.stieltjes(mu0, z, 2).real
 
-    gap = 1.0
-    lo = None
-    for _ in range(2000):
-        if mprime(up + gap) > target:
-            lo = up + gap
-            break
-        gap *= 0.5
-        if gap < 1e-300:
-            break
-    if lo is None:
-        raise BracketNotFound("m' stays below 1/t arbitrarily close to the support")
-    width = max(1.0, gap)
-    hi = None
-    for _ in range(80):
-        if mprime(up + width) < target:
-            hi = up + width
-            break
-        width *= 2.0
-        if up + width > 1e6:
-            raise BracketNotFound("no xi root within the search window (cap 1e6)")
-    if hi is None:
-        raise BracketNotFound("no xi root within the search window (cap 1e6)")
+    def is_hi(x):
+        return ms.stieltjes(mu0, complex(x, 0.0), 1).real <= target
 
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mprime(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    xi = 0.5 * (lo + hi)
-    for _ in range(5):
-        g = mprime(xi) - target
-        gp = ms.stieltjes(mu0, complex(xi, 0.0), 2).real
-        if gp == 0.0:
-            break
-        step = g / gp
-        cand = xi - step
-        if not lo <= cand <= hi:
-            break
-        xi = cand
-        if abs(step) <= 1e-16 * max(1.0, abs(xi)):
-            break
-    return float(xi)
+    lo, hi = _march(is_hi, up, 1.0, 2.0, 1e6 - up)
+    if lo == up:
+        # up + 1 already lies above the root: halve the gap down to it
+        lo, hi = _march(is_hi, up, 0.5, 0.5, 1e-300)
+    return float(_newton_root(g, lo, hi))
 
 
-def edge_from_xi(mu0, t, tol=1e-12):
+def edge_from_xi(mu0, t):
     """(e_plus, gamma) of mu0 convolved with a semicircle of variance t."""
-    xi = solve_xi(mu0, t, tol)
+    xi = solve_xi(mu0, t)
     m = ms.stieltjes(mu0, complex(xi, 0.0)).real
     mpp = ms.stieltjes(mu0, complex(xi, 0.0), 2).real
     e_plus = xi - t * m

@@ -20,7 +20,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,6 @@ class ExperimentConfig:
     sizes: tuple = ()
     top_k: int = 100
     rigidity_limit: float = 10.0
-    workers: int = 1
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -56,8 +54,8 @@ class ExperimentConfig:
             raise ValueError("chi must lie in (0, 1/3)")
         if self.ensemble.t != self.t:
             raise ValueError("ensemble time and theory time must agree")
-        if self.top_k < 1 or self.workers < 1:
-            raise ValueError("top_k and workers must be >= 1")
+        if self.top_k < 1:
+            raise ValueError("top_k must be >= 1")
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
 
 
@@ -124,18 +122,10 @@ def tw_cdf_extended(ev, s):
 def _checked_edge(mu1, mu2, t):
     """Edge report, with the stability residual verified before sampling."""
     rep = eg.find_edge_stability(mu1, mu2, t)
-    diag = eg.stability_diagnostics(mu1, mu2, t, complex(rep.e_plus), rep)
-    if abs(diag.s_value) > 1e-9:
+    if rep.residual > 1e-9:
         raise eg.BracketNotFound("edge stability residual %.3e exceeds 1e-9"
-                                 % abs(diag.s_value))
+                                 % rep.residual)
     return rep
-
-
-def _map_indexed(fn, count, workers):
-    if workers <= 1:
-        return [fn(k) for k in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def _measure_echo(mu):
@@ -153,7 +143,6 @@ def _config_echo(cfg, **extra):
         "ks_threshold": cfg.ks_threshold,
         "eta_exponent": cfg.eta_exponent,
         "chi": cfg.chi,
-        "workers": cfg.workers,
     }
     echo.update(extra)
     return echo
@@ -185,7 +174,7 @@ def run_tw_experiment(cfg):
         sample = rmt.assemble(cfg.ensemble, rmt.sample_stream(cfg.ensemble.seed, k))
         return scale * (sample.eigenvalues[0] - rep.e_plus)
 
-    xs = np.array(_map_indexed(one, cfg.n_samples, cfg.workers))
+    xs = np.array([one(k) for k in range(cfg.n_samples)])
     ks = ks_statistic(xs, lambda s: tw_cdf_extended(ev, s))
     tw_mean, tw_variance = tw.tw2_moments(ev)
     stats = {
@@ -248,7 +237,7 @@ def run_local_law_experiment(cfg):
                     abs(probe.upsilon), abs(probe.omega_a_c - omega),
                     float(np.max(np.abs(local))))
 
-        rows = _map_indexed(one, cfg.n_samples, cfg.workers)
+        rows = [one(k) for k in range(cfg.n_samples)]
         entry, avg, ups, subord, local = (np.array(col) for col in zip(*rows))
         per_size[n] = {
             "median_entry_error": float(np.median(entry)),
@@ -283,7 +272,7 @@ def run_rigidity_experiment(cfg):
         dev = np.abs(sample.eigenvalues[:cfg.top_k] - gammas)
         return float(np.max(weights * dev))
 
-    rs = np.array(_map_indexed(one, cfg.n_samples, cfg.workers))
+    rs = np.array([one(k) for k in range(cfg.n_samples)])
     pct = float(np.percentile(rs, 95))
     stats = {"percentile_95": pct, "max_r": float(np.max(rs)),
              "median_r": float(np.median(rs)), "top_k": cfg.top_k}
@@ -320,7 +309,7 @@ def run_dbm_comparison(cfg, t0=None):
         return (base.gamma * pow23 * (lam0 - base.e_plus),
                 flowed.gamma * pow23 * (lam1 - flowed.e_plus))
 
-    pairs = _map_indexed(one, cfg.n_samples, cfg.workers)
+    pairs = [one(k) for k in range(cfg.n_samples)]
     x0 = np.array([p[0] for p in pairs])
     x1 = np.array([p[1] for p in pairs])
     ks = ks_statistic(x0, x1)

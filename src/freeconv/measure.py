@@ -68,7 +68,7 @@ class Measure:
     def _compute_support(self):
         if self.family == "semicircle":
             var, center = self.params
-            r = 2.0 * np.sqrt(var)
+            r = 2.0 * math.sqrt(var)
             return SupportInfo(center - r, center + r)
         if self.family in ("uniform", "arcsine"):
             a, b = self.params

@@ -157,8 +157,8 @@ def solve(query, tol=1e-12, max_iter=100000, omega2_init=None):
         w1, w2, res, it = _iterate_upper(mu1, mu2, t, z, tol, max_iter, omega2_init)
     else:
         if omega2_init is not None and complex(omega2_init).imag == 0.0:
-            w2s = complex(omega2_init)
-            w1s = z + _h(mu2, t, w2s)
+            w2s = complex(omega2_init).real
+            w1s = z.real + _h(mu2, t, w2s).real
         else:
             zc = z + 1e-6j
             w1c, w2c, _, _ = _iterate_upper(mu1, mu2, t, zc, tol, max_iter, omega2_init)

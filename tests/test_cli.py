@@ -102,6 +102,8 @@ def test_config_errors_exit_2(tmp_path):
     assert run("edge", "--mu2", "semicircle:1") == 2
     assert run("verify-dbm", "--chi", "0.5") == 2
     assert run("verify-local-law", "--sizes", "100,200") == 2
+    assert run("verify-rigidity", "--n", "50", "--top-k", "60") == 2
+    assert run("verify-local-law", "--eta-exponent", "40") == 2
     bad = tmp_path / "bad.json"
     bad.write_text('{"n_samples": 10, "bogus": 1}')
     assert run("verify-tw", "--config", str(bad)) == 2

@@ -313,6 +313,66 @@ def test_edge_report_record_shape():
     json.dumps(rec)
 
 
+def test_edge_report_fields_are_python_floats():
+    # np.float64 subclasses float, so check the exact type
+    rec = eg.find_edge_stability(ms.semicircle(1.0), ms.point_mass(0.7), 0.25).as_record()
+    for key, value in rec.items():
+        if key != "method":
+            assert type(value) is float, key
+
+
+# --- root-finding helpers ---
+
+def test_newton_root_concave_increasing():
+    # log x - 1 is concave and increasing; every step from the hi side
+    # lands on the lo side
+    root = eg._newton_root(lambda x: (math.log(x) - 1.0, 1.0 / x), 0.5, 40.0)
+    assert abs(root - math.e) <= 1e-15 * math.e
+
+
+def test_newton_root_bisects_out_of_lo_side_none_region():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return None if x < 2.0 else (math.log(x) - 1.0, 1.0 / x)
+
+    root = eg._newton_root(f, 0.0, 3.0)
+    assert abs(root - math.e) <= 1e-15 * math.e
+    assert min(seen) < 2.0
+
+
+def test_march_brackets_and_its_first_point_conventions():
+    assert eg._march(lambda x: x > 3.0, 0.0, 1.0, 2.0, 100.0) == (2.0, 4.0)
+    assert eg._march(lambda x: x > 0.3, 0.0, 1.0, 0.5, 1e-3) == (0.25, 0.5)
+    # before its first point an upward march stands on the floor, a
+    # downward one on floor + gap / factor
+    assert eg._march(lambda x: True, 0.0, 1.0, 2.0, 100.0) == (0.0, 1.0)
+    assert eg._march(lambda x: False, 0.0, 0.5, 0.5, 1e-3) == (0.5, 1.0)
+
+
+def test_march_raises_at_its_bound():
+    with pytest.raises(eg.BracketNotFound):
+        eg._march(lambda x: True, 1.0, 0.5, 0.5, 1e-3)      # reaches the floor
+    with pytest.raises(eg.BracketNotFound):
+        eg._march(lambda x: False, 1.0, 1.0, 2.0, 100.0)    # leaves the window
+
+
+def test_edge_search_stieltjes_call_budget(monkeypatch):
+    # the uniform pair at t = 0 took 15720 calls with the bisection-first
+    # search; the safeguarded Newton search needs about half
+    calls = [0]
+    stieltjes = ms.stieltjes
+
+    def counted(*args):
+        calls[0] += 1
+        return stieltjes(*args)
+
+    monkeypatch.setattr(ms, "stieltjes", counted)
+    eg.find_edge_stability(ms.uniform(-1.0, 1.0), ms.uniform(-1.0, 1.0), 0.0)
+    assert 0 < calls[0] < 15720
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     locs=st.lists(

@@ -142,6 +142,15 @@ def test_real_axis_solve_beyond_edge():
     assert sol2.omega1.real > 2.5
 
 
+def test_real_axis_warm_start_uniform():
+    # a real warm start must not depend on the type of the support bounds
+    mu = ms.uniform(-1.0, 1.0)
+    sol = sub.solve(sub.SubordinationQuery(mu, mu, 0.0, 2.0))
+    warm = sub.solve(sub.SubordinationQuery(mu, mu, 0.0, 2.0), omega2_init=sol.omega2.real)
+    assert warm.residual < 1e-12
+    assert abs(warm.omega2 - sol.omega2) < 1e-12
+
+
 def test_real_axis_inside_support_rejected():
     mu = ms.semicircle(1.0)
     with pytest.raises((sub.DomainError, ValueError)):
