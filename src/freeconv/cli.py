@@ -294,14 +294,20 @@ def cmd_convolve(cfg):
     if hi <= lo:
         raise ConfigError("grid_lo must be < grid_hi")
     grid = np.linspace(lo, hi, cfg["grid_points"])
-    rho = sub.density(mu1, mu2, t, grid)
+    rho, resid, iters = sub.density_sweep(mu1, mu2, t, grid)
     failed = int(np.sum(~np.isfinite(rho)))
     integral = float(np.trapezoid(np.nan_to_num(rho, nan=0.0), grid))
     _emit_csv(_out_path(cfg, "density.csv"), ("x", "density"),
               [(float(x), float(r)) for x, r in zip(grid, rho)])
     _emit_json(_out_path(cfg, "edge.json"), rep.as_record())
-    print("convolve: e_plus=%.10g integral=%.6f grid=%d failed=%d"
-          % (rep.e_plus, integral, len(grid), failed))
+    print("convolve: e_plus=%.10g integral=%.6f grid=%d failed=%d "
+          "iterations=%d max_residual=%.3e"
+          % (rep.e_plus, integral, len(grid), failed, int(iters.sum()),
+             float(resid.max())))
+    if failed:
+        print("density solve failed at %d of %d points" % (failed, len(grid)),
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_PASS
 
 

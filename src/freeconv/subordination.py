@@ -6,10 +6,12 @@ Solves, for measures mu1, mu2 and semicircle time component t >= 0,
     F_{mu2,t}(omega2) - omega1 - omega2 + z = 0
 
 with F_{mu,t}(z) = -1/m_mu(z) + t m_mu(z), by the alternating analytic map
-omega2 -> z + h1(z + h2(omega2)) with h_j(w) = F_{mu_j,t}(w) - w.  The fixed
-point gives m_{mu_t}(z) = m_{mu1}(omega1) = m_{mu2}(omega2) for the free
-convolution mu_t = mu1 (+) mu2 (+) semicircle(t), and the density follows by
-Stieltjes inversion with linear eta-extrapolation.
+omega2 -> z + h1(z + h2(omega2)) with h_j(w) = F_{mu_j,t}(w) - w.  Where that
+map stalls, next to the edge where the stability function vanishes, a Newton
+step on its fixed-point equation, kept in {im omega >= im z}, takes over from
+the plain step.  The fixed point gives m_{mu_t}(z) = m_{mu1}(omega1) =
+m_{mu2}(omega2) for the free convolution mu_t = mu1 (+) mu2 (+) semicircle(t),
+and the density follows by Stieltjes inversion with linear eta-extrapolation.
 
 Real z beyond the upper edge is handled by seeding from z + 1e-6 i and
 polishing with a damped 2x2 Newton iteration; the solution there is real.
@@ -74,11 +76,17 @@ def _h(mu, t, w):
 
 
 def _iterate_upper(mu1, mu2, t, z, tol, max_iter, omega2_init):
-    """Alternating fixed point in the open upper half-plane."""
+    """Alternating fixed point in the open upper half-plane, Newton-accelerated.
+
+    The plain step w2 -> z + h1(z + h2(w2)) has multiplier 1 + S, with
+    S = (F1'(w1) - 1)(F2'(w2) - 1) - 1 the stability function, so it stalls
+    where S vanishes at the edge.  Whenever the plain step shrank by less than
+    half, w2 takes the Newton step on g(w2) = z + h1(z + h2(w2)) - w2, whose
+    derivative is S, if that step stays in {im w >= im z}, where the fixed
+    point is unique.  Convergence is still the plain step falling to tol.
+    """
     w2 = omega2_init if omega2_init is not None else z + 1j * max(1.0, abs(z))
-    damped = False
-    res = np.inf
-    history = []
+    res = prev = np.inf
     w1 = w2
     for it in range(1, max_iter + 1):
         w1 = z + _h(mu2, t, w2)
@@ -87,12 +95,14 @@ def _iterate_upper(mu1, mu2, t, z, tol, max_iter, omega2_init):
             raise DomainError("iterate left the closed upper half-plane at z=%r" % (z,))
         res = abs(w2_next - w2)
         if res <= tol:
-            w2 = w2_next
-            return w1, w2, res, it
-        history.append(res)
-        if not damped and len(history) > 50 and history[-1] > 0.95 * history[-51]:
-            damped = True
-        w2 = 0.5 * (w2 + w2_next) if damped else w2_next
+            return w1, w2_next, res, it
+        if res > 0.5 * prev:
+            s = (f_transform(mu1, t, w1, 1) - 1.0) * (f_transform(mu2, t, w2, 1) - 1.0) - 1.0
+            newton = w2 - (w2_next - w2) / s if s else w2_next
+            if newton.imag >= z.imag:
+                w2_next = newton
+        prev = res
+        w2 = w2_next
     raise NonConvergenceError(max_iter, res)
 
 

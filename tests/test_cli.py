@@ -118,6 +118,25 @@ def test_numerical_failure_exit_3(tmp_path):
                "--out-dir", str(tmp_path)) == 3
 
 
+def test_convolve_failed_density_point_exit_3(tmp_path, monkeypatch, capsys):
+    real_sweep = cli.sub.density_sweep
+
+    def one_failure(*args, **kwargs):
+        rho, resid, iters = real_sweep(*args, **kwargs)
+        rho[3] = np.nan
+        return rho, resid, iters
+
+    monkeypatch.setattr(cli.sub, "density_sweep", one_failure)
+    assert run("convolve", "--mu1", "uniform:-1,1", "--mu2", "uniform:-1,1",
+               "--grid-points", "20", "--out-dir", str(tmp_path)) == 3
+    captured = capsys.readouterr()
+    assert "density solve failed at 1 of 20 points" in captured.err
+    assert "failed=1 iterations=" in captured.out
+    assert "max_residual=" in captured.out
+    assert (tmp_path / "density.csv").exists()
+    assert (tmp_path / "edge.json").exists()
+
+
 def test_programming_error_is_not_exit_3(tmp_path, monkeypatch):
     # exit code 3 is for the package's numerical error types only; any other
     # RuntimeError is a bug and propagates

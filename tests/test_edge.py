@@ -373,6 +373,21 @@ def test_edge_search_stieltjes_call_budget(monkeypatch):
     assert 0 < calls[0] < 15720
 
 
+def test_edge_report_stieltjes_call_budget(monkeypatch):
+    # the whole report, density-fit gamma included: 8286 calls while the
+    # fixed point stalled next to the edge, about 1040 with its Newton step
+    calls = [0]
+    stieltjes = ms.stieltjes
+
+    def counted(*args):
+        calls[0] += 1
+        return stieltjes(*args)
+
+    monkeypatch.setattr(ms, "stieltjes", counted)
+    eg.find_edge_stability(ms.uniform(-1.0, 1.0), ms.uniform(-1.0, 1.0), 0.0)
+    assert 0 < calls[0] < 2000
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     locs=st.lists(

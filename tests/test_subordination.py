@@ -175,6 +175,32 @@ def test_nonconvergence_reports_iterations():
     assert exc.value.residual > 0
 
 
+@pytest.mark.parametrize("kappa", [0.0, 1e-4, 1e-2])
+@pytest.mark.parametrize("eta", [1e-4, 2e-4])
+def test_edge_stall_semicircle_closed_form(kappa, eta):
+    # the point_mass(0) pair at t = 1 is the standard semicircle; just inside
+    # its edge 2 the stability function nearly vanishes and the plain
+    # fixed-point step stalls, so a cold start must still converge quickly
+    mu = ms.point_mass(0.0)
+    z = complex(2.0 - kappa, eta)
+    sol = sub.solve(sub.SubordinationQuery(mu, mu, 1.0, z))
+    assert abs(sol.m - m_sc(z)) <= 1e-10
+    assert sol.iterations <= 100
+
+
+@given(st.floats(0.0, 2.0), st.floats(-4.0, 4.0), st.floats(1e-4, 2.0))
+@settings(max_examples=400, deadline=None)
+def test_semicircle_pair_property(t, re, im):
+    # sc(1) (+) sc(1) (+) sc(t) is the semicircle of variance 2 + t
+    mu = ms.semicircle(1.0)
+    z = complex(re, im)
+    sol = sub.solve(sub.SubordinationQuery(mu, mu, t, z))
+    assert sol.converged
+    assert abs(sol.m - m_sc(z, 2.0 + t)) <= 1e-9
+    assert sol.omega1.imag >= im - 1e-10
+    assert sol.omega2.imag >= im - 1e-10
+
+
 def test_density_semicircle_pair():
     mu = ms.semicircle(1.0)
     rho = sub.density(mu, mu, 0.0, np.array([0.0]))
