@@ -2,9 +2,10 @@
 
 A and B are diagonal, U is Haar unitary, W is GUE normalized so that
 sqrt(t) W has limiting spectrum [-2 sqrt(t), 2 sqrt(t)].  The module also
-probes resolvents G = (H - z)^{-1} for the trace functionals driving the
-approximate subordination function, and realizes the one-column partial
-randomness decomposition U = -exp(i theta_i) R_i U^<i>.
+certifies the top eigenvalue of H by Lanczos, probes resolvents
+G = (H - z)^{-1} for the trace functionals driving the approximate
+subordination function, and realizes the one-column partial randomness
+decomposition U = -exp(i theta_i) R_i U^<i>.
 """
 
 import math
@@ -131,7 +132,29 @@ def build_matrix(a_diag, b_diag, u, t=0.0, w=None):
     return h
 
 
-def assemble(spec, rng=None, return_matrix=False):
+def sample_matrix(spec, rng):
+    """Draw U (then W for t > 0) from rng and build H_t.
+
+    When every entry of b is equal, U diag(b) U* is exactly b_0 I: U's two
+    Ginibre arrays are still drawn, so W and every later draw keep their
+    place in the stream, but the QR, the phase fix and the conjugation
+    are skipped.
+    """
+    n, b = spec.n, spec.b_diag
+    if np.all(b == b[0]):
+        rng.standard_normal((2, n, n))
+        if spec.t > 0:
+            h = math.sqrt(spec.t) * sample_gue(n, rng)
+        else:
+            h = np.zeros((n, n), dtype=complex)
+        h[np.diag_indices(n)] += spec.a_diag + b[0]
+        return h
+    u = sample_haar_unitary(n, rng)
+    w = sample_gue(n, rng) if spec.t > 0 else None
+    return build_matrix(spec.a_diag, b, u, spec.t, w)
+
+
+def assemble(spec, rng=None):
     """Draw fresh U (and W for t > 0), build H_t, return its spectrum.
 
     Draw order is U first, then W, so a fixed stream reproduces the
@@ -139,17 +162,85 @@ def assemble(spec, rng=None, return_matrix=False):
     """
     if rng is None:
         rng = sample_stream(spec.seed, 0)
-    u = sample_haar_unitary(spec.n, rng)
-    w = sample_gue(spec.n, rng) if spec.t > 0 else None
-    h = build_matrix(spec.a_diag, spec.b_diag, u, spec.t, w)
+    h = sample_matrix(spec, rng)
     try:
         lam = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(spec.seed, exc) from exc
-    sample = SpectrumSample(lam[::-1], spec.seed, spec.t)
-    if return_matrix:
-        return sample, h
-    return sample
+    return SpectrumSample(lam[::-1], spec.seed, spec.t)
+
+
+TOP_TOL = 1e-10
+
+
+def _start_vector(n):
+    """Fixed unit Lanczos start vector, from a stream no sample uses."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def _below(h, x):
+    """True when x I - H has a Cholesky factor, so lambda_max(H) < x."""
+    m = -h
+    m[np.diag_indices_from(m)] += x
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def top_eigenvalue(h, seed):
+    """Largest eigenvalue of a Hermitian matrix, certified to TOP_TOL.
+
+    Lanczos with full reorthogonalization from a fixed start vector, so
+    nothing is drawn from the sample stream.  Its top Ritz value theta is
+    at most lambda_max, and is returned only once a Cholesky factor of
+    (theta + TOP_TOL) I - H exists, which shows lambda_max < theta + TOP_TOL.
+    Every 8 steps, the factorization is tried if the Ritz residual r
+    predicts an error min(r, r^2 / gap) below TOP_TOL / 10 and, after a
+    failed try, only once theta has risen; the Krylov space grows until
+    the certificate passes.  On breakdown, or when the space fills
+    uncertified, the dense eigvalsh answers.  Returns (lambda_max, fell_back).
+    """
+    n = h.shape[0]
+    basis = np.empty((n, n), dtype=complex)
+    basis[0] = _start_vector(n)
+    alpha, beta = [], []
+    tiny = n * np.finfo(float).eps * np.linalg.norm(h)
+    failed_at = -np.inf
+    for j in range(n):
+        q = basis[:j + 1]
+        w = h @ q[j]
+        # Classical Gram-Schmidt against the whole basis, twice.
+        c = (q @ w.conj()).conj()
+        w -= c @ q
+        c2 = (q @ w.conj()).conj()
+        w -= c2 @ q
+        alpha.append(c[j].real + c2[j].real)
+        beta.append(float(np.linalg.norm(w)))
+        if not np.isfinite(alpha[-1] + beta[-1]):
+            break
+        done = beta[-1] <= tiny or j == n - 1
+        if done or j % 8 == 7:
+            t = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+            vals, vecs = np.linalg.eigh(t)
+            theta = vals[-1]
+            r = beta[-1] * abs(vecs[-1, -1])
+            gap = vals[-1] - vals[-2] if j else 0.0
+            err = r if gap <= r else r * r / gap
+            if err <= 0.1 * TOP_TOL and theta > failed_at + 0.01 * TOP_TOL:
+                if _below(h, theta + TOP_TOL):
+                    return float(theta), False
+                failed_at = theta
+        if done:
+            break
+        basis[j + 1] = w / beta[-1]
+    try:
+        return float(np.linalg.eigvalsh(h)[-1]), True
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(seed, exc) from exc
 
 
 def resolvent_probe(h, b_tilde, t, z):

@@ -112,6 +112,7 @@ def test_tw_gue_control_small():
     assert abs(rep.stats["e_plus"] - 2.0) < 1e-8
     assert abs(rep.stats["gamma"] - 1.0) < 1e-8
     assert abs(rep.stats["mean_rescaled"] - rep.stats["tw_mean"]) < 0.25
+    assert rep.stats["dense_fallbacks"] == 0
     assert len(rep.records) == 300
     assert rep.n_samples == 300
     assert 0.0 <= rep.ks_statistic <= 1.0
@@ -270,6 +271,7 @@ def test_dbm_gue_control():
     expected_t0 = 200 ** (-1.0 / 3.0 + 0.1)
     assert abs(rep.stats["t0"] - expected_t0) < 1e-12
     assert rep.stats["e_plus_flowed"] > rep.stats["e_plus_base"]
+    assert rep.stats["dense_fallbacks"] == 0
 
 
 # --- report files ---

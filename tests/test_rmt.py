@@ -111,6 +111,113 @@ def test_assemble_spectrum_bound():
             assert s.eigenvalues[0] <= 1.0 + 1.0 + 2.0 * math.sqrt(t) + 0.5
 
 
+def _haar_path(spec, rng):
+    """H built on the full Haar path, the reference for sample_matrix."""
+    u = rmt.sample_haar_unitary(spec.n, rng)
+    w = rmt.sample_gue(spec.n, rng) if spec.t > 0 else None
+    return rmt.build_matrix(spec.a_diag, spec.b_diag, u, spec.t, w)
+
+
+def test_sample_matrix_b_zero_bit_identical():
+    n = 80
+    spec = rmt.EnsembleSpec(n, uniform_quantiles(n), np.zeros(n), 1.0, 17)
+    fast, full = rmt.sample_stream(17, 3), rmt.sample_stream(17, 3)
+    assert np.array_equal(rmt.sample_matrix(spec, fast), _haar_path(spec, full))
+    assert fast.standard_normal() == full.standard_normal()
+
+
+def test_sample_matrix_constant_b_matches_haar_path():
+    n = 80
+    spec = rmt.EnsembleSpec(n, uniform_quantiles(n), np.full(n, 0.7), 1.0, 18)
+    fast, full = rmt.sample_stream(18, 0), rmt.sample_stream(18, 0)
+    assert np.max(np.abs(rmt.sample_matrix(spec, fast) - _haar_path(spec, full))) <= 1e-14
+    assert fast.standard_normal() == full.standard_normal()
+
+
+def _top_against_dense(spec, t0, count):
+    """top_eigenvalue against eigvalsh on base and flowed samples."""
+    for k in range(count):
+        rng = rmt.sample_stream(spec.seed, k)
+        h = rmt.sample_matrix(spec, rng)
+        for m in (h, h + math.sqrt(t0) * rmt.sample_gue(spec.n, rng)):
+            lam, fell_back = rmt.top_eigenvalue(m, spec.seed)
+            assert not fell_back
+            assert abs(lam - np.linalg.eigvalsh(m)[-1]) <= 1e-10
+
+
+def test_top_eigenvalue_gue_matches_dense():
+    n = 400
+    _top_against_dense(rmt.EnsembleSpec(n, np.zeros(n), np.zeros(n), 1.0, 61),
+                       n ** (-1.0 / 3.0 + 0.1), 20)
+
+
+def test_top_eigenvalue_uniform_pair_matches_dense():
+    n = 300
+    a = uniform_quantiles(n)
+    _top_against_dense(rmt.EnsembleSpec(n, a, a, 0.0, 101), n ** (-1.0 / 3.0 + 0.1), 20)
+
+
+def _hermitian(q, lam):
+    return (q * lam) @ q.conj().T
+
+
+def _unitary_with_first(v, seed):
+    """Unitary whose first column is v / |v| up to a phase."""
+    rng = rmt.sample_stream(seed, 0)
+    g = rng.standard_normal((v.size, v.size)) + 1j * rng.standard_normal((v.size, v.size))
+    g[:, 0] = v
+    return np.linalg.qr(g)[0]
+
+
+def _assert_top(h, fell_back=None):
+    lam, fb = rmt.top_eigenvalue(h, 5)
+    assert abs(lam - np.linalg.eigvalsh(h)[-1]) <= 1e-10
+    if fell_back is not None:
+        assert fb == fell_back
+
+
+def test_top_eigenvalue_top_vector_orthogonal_to_start():
+    n = 60
+    start = rmt._start_vector(n)
+    rest = np.linspace(-1.0, 1.0, n - 1)
+    top = np.roll(start, 1)
+    top -= (start.conj() @ top) * start
+    q = _unitary_with_first(top, 1)
+    assert abs(start.conj() @ q[:, 0]) <= 1e-14
+    _assert_top(_hermitian(q, np.concatenate([[3.0], rest])))
+    # With the start vector itself an eigenvector, Lanczos breaks down at
+    # dimension one on a value below the top, and the dense path answers.
+    q = _unitary_with_first(start, 2)
+    _assert_top(_hermitian(q, np.concatenate([[0.5], [3.0], rest[1:]])), fell_back=True)
+
+
+def test_top_eigenvalue_degenerate_top():
+    n = 60
+    q = rmt.sample_haar_unitary(n, rmt.sample_stream(3, 4))
+    _assert_top(_hermitian(q, np.concatenate([[2.0, 2.0], np.linspace(-2.0, 1.9, n - 2)])),
+                fell_back=False)
+
+
+def test_top_eigenvalue_diagonal_breakdown():
+    # Three distinct eigenvalues: the Krylov space is invariant at dimension 3.
+    h = np.diag(np.repeat([-1.0, 0.5, 2.0], 20)).astype(complex)
+    _assert_top(h)
+    _assert_top(np.diag(np.linspace(-1.0, 1.0, 50)).astype(complex))
+
+
+def test_top_eigenvalue_small_n():
+    for n in (1, 2, 3):
+        _assert_top(rmt.sample_gue(n, rmt.sample_stream(8, n)))
+
+
+def test_top_eigenvalue_dense_failure_carries_seed():
+    h = np.eye(5, dtype=complex)
+    h[1, 1] = np.nan
+    with pytest.raises(rmt.EigensolverError) as info:
+        rmt.top_eigenvalue(h, 7)
+    assert info.value.seed == 7
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         rmt.EnsembleSpec(3, np.zeros(2), np.zeros(3), 0.0, 1)
