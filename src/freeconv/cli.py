@@ -314,7 +314,7 @@ def cmd_convolve(cfg):
 def cmd_tabulate_tw(cfg):
     ev = tw.TWEvaluator(40)
     grid = np.linspace(cfg["s_lo"], cfg["s_hi"], cfg["s_points"])
-    rows = [(float(s), hz.tw_cdf_extended(ev, float(s))) for s in grid]
+    rows = [(float(s), float(f)) for s, f in zip(grid, hz.tw_cdf_extended(ev, grid))]
     _emit_csv(_out_path(cfg, "tw_cdf.csv"), ("s", "F2"), rows)
     print("tabulate-tw: %d points on [%g, %g]"
           % (len(rows), cfg["s_lo"], cfg["s_hi"]))

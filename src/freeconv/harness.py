@@ -91,12 +91,15 @@ class ExperimentReport:
 
 
 def ks_statistic(samples, cdf_or_samples):
-    """One-sample (against a CDF callable) or two-sample KS sup-distance."""
+    """One-sample (against a CDF callable) or two-sample KS sup-distance.
+
+    A CDF callable is called once, on the sorted sample array.
+    """
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size == 0:
         raise ValueError("empty sample")
     if callable(cdf_or_samples):
-        f = np.array([cdf_or_samples(v) for v in x])
+        f = np.asarray(cdf_or_samples(x), dtype=float)
         n = x.size
         upper = np.max(np.arange(1, n + 1) / n - f)
         lower = np.max(f - np.arange(0, n) / n)
@@ -111,12 +114,16 @@ def ks_statistic(samples, cdf_or_samples):
 
 
 def tw_cdf_extended(ev, s):
-    """F2 extended beyond the evaluator window by its saturated tails."""
-    if s < -12.0:
-        return 0.0
-    if s > 8.0:
-        return 1.0
-    return tw.tw2_cdf(ev, s)
+    """F2 extended beyond the evaluator window by its saturated tails.
+
+    s is a scalar (the result is a Python float) or an array; NaN is
+    rejected by tw2_cdf, since it lies in neither tail.
+    """
+    arr = np.asarray(s, dtype=float)
+    f = np.where(arr > 8.0, 1.0, 0.0)
+    inside = ~((arr < -12.0) | (arr > 8.0))
+    f[inside] = tw.tw2_cdf(ev, arr[inside])
+    return float(f) if np.ndim(s) == 0 else f
 
 
 def _checked_edge(mu1, mu2, t):

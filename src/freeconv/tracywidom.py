@@ -7,9 +7,12 @@ discretised by a Nystrom rule: Gauss-Legendre nodes mapped affinely onto
 LU determinant of the resulting m x m matrix.  The kernel decays
 super-exponentially, so L = 14 already leaves a 1e-10 scale tail.
 
-The Airy function itself is evaluated from scratch: Maclaurin series up to
-|x| = 5.5, asymptotic expansions with exponential (x > 5.5) or oscillatory
-(x < -5.5) prefactors beyond, accurate to about 1e-12 absolute for |x| <= 10.
+The Airy function itself is evaluated from scratch over arrays: Maclaurin
+series up to |x| = 5.5, asymptotic expansions with exponential (x > 5.5) or
+oscillatory (x < -5.5) prefactors beyond, accurate to about 1e-12 absolute
+for |x| <= 10.  Each element takes its branch by mask and sees the same
+operations in the same order as any other element, so a value never depends
+on the batch it was computed in.
 """
 
 import math
@@ -25,6 +28,10 @@ _SERIES_TERMS = 60
 # can sit early; on the left the modulus stays O(1) and the seam moves out.
 _SEAM_RIGHT = 5.5
 _SEAM_LEFT = -6.7
+# s-values per stacked determinant.  Memory grows as chunk * m^2: at m = 40
+# the 1,002-point moments table raises peak RSS by 3 MB in chunks of 64 and
+# by 38 MB in one batch, which is only about 10% faster.
+_CHUNK = 64
 
 
 def _airy_series(x):
@@ -36,32 +43,40 @@ def _airy_series(x):
     b = 0.5 * x * x
     gp = c = 1.0
     for k in range(_SERIES_TERMS):
-        a *= x3 / ((3 * k + 2) * (3 * k + 3))
-        f += a
-        s *= x3 / ((3 * k + 3) * (3 * k + 4))
-        g += s
-        c *= x3 / ((3 * k + 1) * (3 * k + 3))
-        gp += c
+        a = a * (x3 / ((3 * k + 2) * (3 * k + 3)))
+        f = f + a
+        s = s * (x3 / ((3 * k + 3) * (3 * k + 4)))
+        g = g + s
+        c = c * (x3 / ((3 * k + 1) * (3 * k + 3)))
+        gp = gp + c
         if k > 0:
-            b *= x3 / ((3 * k) * (3 * k + 2))
-        fp += b
+            b = b * (x3 / ((3 * k) * (3 * k + 2)))
+        fp = fp + b
     ai = _AI0 * f + _AIP0 * g
     aip = _AI0 * fp + _AIP0 * gp
     return ai, aip
 
 
 def _asymptotic_terms(zeta):
-    """Terms u_k / zeta^k and v_k / zeta^k, truncated where they turn."""
+    """Terms u_k / zeta^k and v_k / zeta^k, truncated where they turn.
+
+    Each element stops at its own first term that does not fall in modulus
+    or falls below 1e-18; from there on its terms are exactly 0.0.
+    """
     us = [1.0]
     vs = [1.0]
     u = 1.0
-    tu = 1.0
+    atu = 1.0
+    live = np.ones(zeta.shape, dtype=bool)
     for k in range(40):
         u *= (3 * k + 2.5) * (3 * k + 1.5) * (3 * k + 0.5) / (54.0 * (k + 1) * (k + 0.5))
         t = u / zeta ** (k + 1)
-        if abs(t) >= abs(tu) or abs(t) < 1e-18:
+        at = np.abs(t)
+        live &= (at < atu) & (at >= 1e-18)
+        if not live.any():
             break
-        tu = t
+        atu = at
+        t = np.where(live, t, 0.0)
         us.append(t)
         vs.append(-t * (6 * (k + 1) + 1) / (6 * (k + 1) - 1))
     return us, vs
@@ -73,7 +88,7 @@ def _airy_right(x):
     us, vs = _asymptotic_terms(zeta)
     su = sum((-1) ** k * t for k, t in enumerate(us))
     sv = sum((-1) ** k * t for k, t in enumerate(vs))
-    pre = math.exp(-zeta) / (2.0 * math.sqrt(math.pi))
+    pre = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
     ai = pre * su / x ** 0.25
     aip = -pre * sv * x ** 0.25
     return ai, aip
@@ -89,7 +104,7 @@ def _airy_left(x):
     ve = sum((-1) ** k * t for k, t in enumerate(vs[0::2]))
     vo = sum((-1) ** k * t for k, t in enumerate(vs[1::2]))
     w = zeta - 0.25 * math.pi
-    cw, sw = math.cos(w), math.sin(w)
+    cw, sw = np.cos(w), np.sin(w)
     rp = math.sqrt(math.pi)
     ai = (cw * ue + sw * uo) / (rp * z ** 0.25)
     aip = (z ** 0.25 / rp) * (sw * ve - cw * vo)
@@ -97,26 +112,36 @@ def _airy_left(x):
 
 
 def _airy_pair(x):
-    x = float(x)
-    if x > 40.0:
-        return 0.0, 0.0
-    if x < -40.0:
+    """(Ai, Ai') over a float array; 0.0 beyond x = 40, rejects x < -40 and NaN."""
+    if np.isnan(x).any():
+        raise ValueError("Airy argument is NaN")
+    if (x < -40.0).any():
         raise ValueError("Airy evaluation limited to x >= -40")
-    if _SEAM_LEFT <= x <= _SEAM_RIGHT:
-        return _airy_series(x)
-    if x > 0:
-        return _airy_right(x)
-    return _airy_left(x)
+    ai = np.zeros_like(x)
+    aip = np.zeros_like(x)
+    for mask, branch in (((x >= _SEAM_LEFT) & (x <= _SEAM_RIGHT), _airy_series),
+                         ((x > _SEAM_RIGHT) & (x <= 40.0), _airy_right),
+                         (x < _SEAM_LEFT, _airy_left)):
+        if mask.any():
+            ai[mask], aip[mask] = branch(x[mask])
+    return ai, aip
+
+
+def _scalar_or_array(arg, val):
+    """val as a Python float when arg is a scalar, else as an array."""
+    return float(val) if np.ndim(arg) == 0 else val
 
 
 def airy_ai(x):
-    """Airy function Ai(x); 0.0 beyond x = 40, rejects x < -40."""
-    return _airy_pair(x)[0]
+    """Airy function Ai(x) for a scalar or an array; 0.0 beyond x = 40,
+    rejects x < -40 and NaN."""
+    return _scalar_or_array(x, _airy_pair(np.asarray(x, dtype=float))[0])
 
 
 def airy_ai_prime(x):
-    """Derivative Ai'(x); 0.0 beyond x = 40, rejects x < -40."""
-    return _airy_pair(x)[1]
+    """Derivative Ai'(x) for a scalar or an array; 0.0 beyond x = 40,
+    rejects x < -40 and NaN."""
+    return _scalar_or_array(x, _airy_pair(np.asarray(x, dtype=float))[1])
 
 
 class TWEvaluator:
@@ -137,39 +162,37 @@ class TWEvaluator:
         self._weights = w
 
 
-def tw2_cdf(ev, s):
-    """F2(s) = det(I - K_Airy on (s, inf)), clipped into [0, 1]."""
-    s = float(s)
-    if not -12.0 <= s <= 8.0:
-        raise ValueError("s must lie in [-12, 8]")
-    x = s + ev.L * (1.0 + ev._nodes) / 2.0
+def _fredholm_det(ev, s):
+    """det(I - K) on (s, s + L] for a 1-D array s, as one stacked slogdet."""
+    x = s[:, None] + ev.L * (1.0 + ev._nodes) / 2.0
     w = ev._weights * ev.L / 2.0
-    pairs = [_airy_pair(v) for v in x]
-    ai = np.array([p[0] for p in pairs])
-    aip = np.array([p[1] for p in pairs])
-    dx = x[:, None] - x[None, :]
-    np.fill_diagonal(dx, 1.0)
-    kern = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / dx
-    np.fill_diagonal(kern, aip * aip - x * ai * ai)
-    a = np.eye(ev.m) - np.sqrt(np.outer(w, w)) * kern
-    sign, logdet = np.linalg.slogdet(a)
-    val = sign * math.exp(logdet)
-    return min(1.0, max(0.0, val))
+    ai, aip = _airy_pair(x)
+    diag = np.arange(ev.m)
+    dx = x[:, :, None] - x[:, None, :]
+    dx[:, diag, diag] = 1.0
+    kern = ai[:, :, None] * aip[:, None, :]
+    kern -= aip[:, :, None] * ai[:, None, :]
+    kern /= dx
+    kern[:, diag, diag] = aip * aip - x * ai * ai
+    kern *= np.sqrt(np.outer(w, w))
+    sign, logdet = np.linalg.slogdet(np.subtract(np.eye(ev.m), kern, out=kern))
+    return sign * np.exp(logdet)
 
 
-def tw2_quantile(ev, p):
-    """Inverse of tw2_cdf by bisection to 1e-8 in s."""
-    p = float(p)
-    if not 1e-4 <= p <= 1.0 - 1e-6:
-        raise ValueError("p must lie in [1e-4, 1 - 1e-6]")
-    lo, hi = -12.0, 8.0
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if tw2_cdf(ev, mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def tw2_cdf(ev, s):
+    """F2(s) = det(I - K_Airy on (s, inf)), clipped into [0, 1].
+
+    s is a scalar (the result is a Python float) or an array (the result
+    has its shape); every s must lie in [-12, 8].
+    """
+    arr = np.asarray(s, dtype=float)
+    if not np.all((arr >= -12.0) & (arr <= 8.0)):
+        raise ValueError("s must lie in [-12, 8]")
+    flat = arr.reshape(-1)
+    val = np.empty(flat.size)
+    for i in range(0, flat.size, _CHUNK):
+        val[i:i + _CHUNK] = _fredholm_det(ev, flat[i:i + _CHUNK])
+    return _scalar_or_array(s, np.clip(val, 0.0, 1.0).reshape(arr.shape))
 
 
 def tw2_moments(ev):
@@ -182,8 +205,8 @@ def tw2_moments(ev):
     step = 0.02
     neg = np.arange(-12.0, 0.0 + 0.5 * step, step)
     pos = np.arange(0.0, 8.0 + 0.5 * step, step)
-    f_neg = np.array([tw2_cdf(ev, v) for v in neg])
-    f_pos = np.array([tw2_cdf(ev, v) for v in pos])
+    f = tw2_cdf(ev, np.concatenate([neg, pos]))
+    f_neg, f_pos = f[:neg.size], f[neg.size:]
     mean = float(np.trapezoid(1.0 - f_pos, pos) - np.trapezoid(f_neg, neg))
     second = 2.0 * (
         np.trapezoid(pos * (1.0 - f_pos), pos) - np.trapezoid(neg * f_neg, neg)

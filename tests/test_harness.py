@@ -45,7 +45,7 @@ def test_ks_two_sample_disjoint_is_one():
 def test_ks_uniform_large_sample():
     rng = np.random.default_rng(915)
     x = rng.uniform(size=10000)
-    assert hz.ks_statistic(x, lambda v: min(max(v, 0.0), 1.0)) <= 0.025
+    assert hz.ks_statistic(x, lambda v: np.clip(v, 0.0, 1.0)) <= 0.025
 
 
 def test_ks_empty_rejected():
@@ -103,6 +103,19 @@ def test_tw_single_sample_ks_formula():
     ev = tw.TWEvaluator(40)
     f = hz.tw_cdf_extended(ev, x)
     assert abs(rep.ks_statistic - max(f, 1.0 - f)) < 1e-15
+
+
+def test_tw_cdf_extended_tails():
+    ev = tw.TWEvaluator(40)
+    s = np.array([-13.0, -12.0, -1.0, 8.0, 9.0])
+    f = hz.tw_cdf_extended(ev, s)
+    assert f[0] == 0.0 and f[4] == 1.0
+    assert np.array_equal(f[1:4], tw.tw2_cdf(ev, s[1:4]))
+    assert hz.tw_cdf_extended(ev, -13.0) == 0.0
+    assert hz.tw_cdf_extended(ev, 9.0) == 1.0
+    for bad in (math.nan, np.array([0.0, math.nan])):
+        with pytest.raises(ValueError):
+            hz.tw_cdf_extended(ev, bad)
 
 
 def test_tw_gue_control_small():

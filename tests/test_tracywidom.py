@@ -29,6 +29,13 @@ AIRY_FROZEN = {
     -35.0: (0.13033638994602217, -1.1342272299930086),
 }
 
+# Same oracle at the left seam and at both ends of the evaluated range.
+AIRY_SEAMS = {
+    -6.7: (-0.078312471801255761, -0.88790796525555364),
+    40.0: (6.3657426585529149e-75, -4.030017977600678e-74),
+    -40.0: (-0.04593392343795725, -1.3890908752607184),
+}
+
 # Literature values for the beta=2 Tracy-Widom mean and variance.
 TW2_MEAN = -1.771086807411601
 TW2_VAR = 0.8131947928329
@@ -79,6 +86,29 @@ def test_airy_range_guards():
         tw.airy_ai(-41.0)
     with pytest.raises(ValueError):
         tw.airy_ai_prime(-41.0)
+    assert tw.airy_ai(math.inf) == 0.0
+    assert tw.airy_ai_prime(math.inf) == 0.0
+
+
+def test_airy_nan_rejected():
+    # NaN lies in no branch's mask; it must raise, not come back as 0.0.
+    for f in (tw.airy_ai, tw.airy_ai_prime):
+        with pytest.raises(ValueError):
+            f(math.nan)
+        with pytest.raises(ValueError):
+            f(np.array([0.0, math.nan, 1.0]))
+
+
+def test_airy_array_call_matches_oracle():
+    # One batch across every branch and both seams (5.5 is in AIRY_FROZEN);
+    # 40 is the last point of the right branch, -40 the last accepted.
+    oracle = {**AIRY_FROZEN, **AIRY_SEAMS}
+    xs = np.array(list(oracle))
+    ai, aip = tw.airy_ai(xs), tw.airy_ai_prime(xs)
+    assert ai.shape == aip.shape == xs.shape
+    for x, a, ap in zip(xs, ai, aip):
+        assert abs(a - oracle[x][0]) < 1e-12, x
+        assert abs(ap - oracle[x][1]) < 1e-12, x
 
 
 def test_evaluator_validation():
@@ -107,6 +137,21 @@ def test_cdf_domain_rejected(ev):
         tw.tw2_cdf(ev, -13.0)
     with pytest.raises(ValueError):
         tw.tw2_cdf(ev, 9.0)
+    for bad in (-13.0, 9.0, math.nan):
+        with pytest.raises(ValueError):
+            tw.tw2_cdf(ev, np.array([-2.0, bad, 0.5]))
+
+
+def test_cdf_batch_matches_single_points(ev):
+    # The moments grid spans several chunks; no value may depend on which
+    # batch, or which position in it, computed it.
+    step = 0.02
+    grid = np.concatenate([np.arange(-12.0, 0.0 + 0.5 * step, step),
+                           np.arange(0.0, 8.0 + 0.5 * step, step)])
+    batch = tw.tw2_cdf(ev, grid)
+    single = [tw.tw2_cdf(ev, float(s)) for s in grid]
+    assert isinstance(single[0], float)
+    assert np.array_equal(batch, np.array(single))
 
 
 def test_cdf_quadrature_refinement(ev, ev80):
@@ -126,26 +171,7 @@ def test_variance(ev):
     assert abs(variance - TW2_VAR) < 1e-3
 
 
-def test_quantile_roundtrip(ev):
-    for s in (-3.0, -1.0, 0.0):
-        p = tw.tw2_cdf(ev, s)
-        assert abs(tw.tw2_quantile(ev, p) - s) < 1e-6
-
-
-def test_quantile_monotone(ev):
-    ps = np.linspace(0.01, 0.99, 25)
-    qs = [tw.tw2_quantile(ev, p) for p in ps]
-    assert all(a < b for a, b in zip(qs, qs[1:]))
-
-
-def test_quantile_median_refinement(ev, ev80):
-    assert abs(tw.tw2_quantile(ev, 0.5) - tw.tw2_quantile(ev80, 0.5)) <= 1e-7
-
-
-def test_quantile_p_validation(ev):
-    with pytest.raises(ValueError):
-        tw.tw2_quantile(ev, 0.0)
-    with pytest.raises(ValueError):
-        tw.tw2_quantile(ev, 1.0)
-    with pytest.raises(ValueError):
-        tw.tw2_quantile(ev, -0.1)
+def test_moments_frozen(ev):
+    mean, variance = tw.tw2_moments(ev)
+    assert abs(mean - (-1.7710868074113355)) <= 1e-15
+    assert abs(variance - 0.8131281261671712) <= 1e-15
