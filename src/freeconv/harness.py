@@ -231,12 +231,8 @@ def run_local_law_experiment(cfg):
             rng = rmt.sample_stream(cfg.ensemble.seed, k)
             u = rmt.sample_haar_unitary(n, rng)
             w = rmt.sample_gue(n, rng) if cfg.t > 0 else None
-            b_tilde = (u * b) @ u.conj().T
-            h = b_tilde.copy()
-            h[np.diag_indices(n)] += a
-            if w is not None:
-                h = h + math.sqrt(cfg.t) * w
-            probe = rmt.resolvent_probe(h, b_tilde, cfg.t, z)
+            h = rmt.build_matrix(a, b, u, cfg.t, w)
+            probe = rmt.resolvent_probe(h, a, cfg.t, z, w)
             diff = probe.g_diag - theory
             # Im G_ii > 0 for Im z > 0, so 1 / G_ii is always finite.
             local = a - 1.0 / probe.g_diag - omega

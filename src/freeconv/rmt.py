@@ -243,9 +243,15 @@ def top_eigenvalue(h, seed):
         raise EigensolverError(seed, exc) from exc
 
 
-def resolvent_probe(h, b_tilde, t, z):
+def resolvent_probe(h, a_diag, t, z, w=None):
     """Trace functionals of G = (H - z)^{-1} at one spectral parameter.
 
+    H = B + C with B = U diag(b) U* and C = diag(a) + sqrt(t) W (W read as 0
+    when w is None or t = 0, as in build_matrix).  B = H - C is recovered
+    entrywise, and B G B = B - (C - z) G B, so with p_i = (G B)_ii:
+        tr BG  = sum_i p_i,
+        tr BGB = tr B - sum_i (a_i - z) p_i - sqrt(t) tr(W G B).
+    Besides the inverse, the only n x n product is W G, made at t > 0.
     upsilon = tr BG - (tr BG)^2 + tr G tr BGB and the approximate
     subordination point omega_a_c = z - tr BG / tr G + t tr G, with all
     traces normalized by 1/n.
@@ -254,12 +260,26 @@ def resolvent_probe(h, b_tilde, t, z):
     if z.imag < 1e-10:
         raise ValueError("resolvent probe requires im z >= 1e-10")
     n = h.shape[0]
-    g = np.linalg.inv(h - z * np.eye(n))
+    a = np.asarray(a_diag)
+    diag = np.diag_indices(n)
+    shifted = h.astype(complex)
+    shifted[diag] -= z
+    g = np.linalg.inv(shifted)
     trace_g = np.trace(g) / n
-    bg = b_tilde @ g
-    trace_bg = np.trace(bg) / n
-    # tr(BGB) = tr(B BG) by cyclicity; elementwise against the transpose.
-    trace_bgb = np.sum(b_tilde * bg.T) / n
+    # Once inverted, the shifted copy is reused for B = H - C.
+    b_mat = shifted
+    with_w = w is not None and t > 0
+    if with_w:
+        np.subtract(h, math.sqrt(t) * w, out=b_mat)
+    else:
+        b_mat[diag] = np.diagonal(h)
+    b_mat[diag] -= a
+    p = np.einsum("ij,ji->i", g, b_mat)
+    trace_bg = np.sum(p) / n
+    trace_bgb = np.trace(b_mat) - (a - z) @ p
+    if with_w:
+        trace_bgb -= math.sqrt(t) * np.einsum("ij,ji->", w @ g, b_mat)
+    trace_bgb /= n
     upsilon = trace_bg - trace_bg ** 2 + trace_g * trace_bgb
     omega_a_c = z - trace_bg / trace_g + t * trace_g
     return ResolventProbe(z, np.diagonal(g).copy(), complex(trace_g),

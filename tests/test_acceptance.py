@@ -102,8 +102,8 @@ def _tridiagonal_gue_top(n, rng):
 
 def test_criterion_05_tw_self_consistency():
     ev40, ev80 = tw.TWEvaluator(40), tw.TWEvaluator(80)
-    refine = max(abs(tw.tw2_cdf(ev40, s) - tw.tw2_cdf(ev80, s))
-                 for s in np.arange(-6.0, 4.5, 0.5))
+    grid = np.arange(-6.0, 4.5, 0.5)
+    refine = np.max(np.abs(tw.tw2_cdf(ev40, grid) - tw.tw2_cdf(ev80, grid)))
 
     h = 0.01
     ode = 0.0

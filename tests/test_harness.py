@@ -166,10 +166,7 @@ def test_local_law_record_recompute():
     z = eg.find_edge_stability(mu1, mu1, 0.0).e_plus + 1j * n ** (-0.6)
     omega = sub.solve(sub.SubordinationQuery(mu_atom, mu_atom, 0.0, z)).omega1
     u = rmt.sample_haar_unitary(n, rmt.sample_stream(seed, 0))
-    b_tilde = (u * a) @ u.conj().T
-    h = b_tilde.copy()
-    h[np.diag_indices(n)] += a
-    probe = rmt.resolvent_probe(h, b_tilde, 0.0, z)
+    probe = rmt.resolvent_probe(rmt.build_matrix(a, a, u), a, 0.0, z)
     err = float(np.max(np.abs(probe.g_diag - 1.0 / (a - omega))))
 
     first = rep.records[0]
@@ -197,10 +194,7 @@ def test_local_law_gated_statistic_recompute():
     z = eg.find_edge_stability(mu1, mu1, 0.0).e_plus + 1j * n ** (-0.6)
     omega = sub.solve(sub.SubordinationQuery(mu_atom, mu_atom, 0.0, z)).omega1
     u = rmt.sample_haar_unitary(n, rmt.sample_stream(seed, 0))
-    b_tilde = (u * a) @ u.conj().T
-    h = b_tilde.copy()
-    h[np.diag_indices(n)] += a
-    g_diag = rmt.resolvent_probe(h, b_tilde, 0.0, z).g_diag
+    g_diag = rmt.resolvent_probe(rmt.build_matrix(a, a, u), a, 0.0, z).g_diag
     local = float(np.max(np.abs(a - 1.0 / g_diag - omega)))
 
     assert rep.stats["entry_medians"][0] == local
@@ -208,6 +202,47 @@ def test_local_law_gated_statistic_recompute():
     raw = float(np.max(np.abs(g_diag - 1.0 / (a - omega))))
     assert rep.records[0]["entry_error"] == raw
     assert rep.stats["per_size"]["40"]["median_entry_error"] == raw
+
+
+def test_local_law_flow_time_record_recompute():
+    # At t = 0.2 the harness adds sqrt(t) W and probes through the W terms.
+    # Rebuild sample 0 at the smallest size with the explicit products B G
+    # and (B G) B: the entry error matches bit for bit, the trace-level
+    # values to 1e-12 relative.  No t > 0 value is gated.
+    from freeconv import subordination as sub
+
+    n, t = 40, 0.2
+    mu1 = ms.uniform(-1.0, 1.0)
+    seed = 7
+    spec = rmt.EnsembleSpec(n, ms.quantiles(mu1, n), ms.quantiles(mu1, n), t, seed)
+    cfg = hz.ExperimentConfig(ensemble=spec, n_samples=1, mu1=mu1, mu2=mu1,
+                              t=t, sizes=(40, 60, 80), ks_threshold=0.999)
+    rep = hz.run_local_law_experiment(cfg)
+
+    a = ms.quantiles(mu1, n)
+    mu_atom = ms.atoms(a, np.full(n, 1.0 / n))
+    z = eg.find_edge_stability(mu1, mu1, t).e_plus + 1j * n ** (-0.6)
+    omega = sub.solve(sub.SubordinationQuery(mu_atom, mu_atom, t, z)).omega1
+    rng = rmt.sample_stream(seed, 0)
+    u = rmt.sample_haar_unitary(n, rng)
+    w = rmt.sample_gue(n, rng)
+    b_tilde = (u * a) @ u.conj().T
+    h = b_tilde.copy()
+    h[np.diag_indices(n)] += a
+    h = h + math.sqrt(t) * w
+    g = np.linalg.inv(h - z * np.eye(n))
+    bg = b_tilde @ g
+    trace_g, trace_bg = np.trace(g) / n, np.trace(bg) / n
+    trace_bgb = np.trace(bg @ b_tilde) / n
+    upsilon = abs(trace_bg - trace_bg ** 2 + trace_g * trace_bgb)
+    omega_a_c = z - trace_bg / trace_g + t * trace_g
+
+    first = rep.records[0]
+    assert first["size"] == 40 and first["sample_index"] == 0
+    assert first["entry_error"] == float(np.max(np.abs(np.diagonal(g) - 1.0 / (a - omega))))
+    assert abs(first["upsilon"] - upsilon) <= 1e-12 * upsilon
+    sub_err = abs(omega_a_c - omega)
+    assert abs(first["subordination_error"] - sub_err) <= 1e-12 * sub_err
 
 
 def test_local_law_needs_three_sizes():

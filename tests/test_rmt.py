@@ -232,7 +232,7 @@ def test_spec_validation():
 def test_resolvent_diagonal_exact():
     a = np.linspace(-1.0, 1.0, 30)
     z = 0.3 + 0.05j
-    p = rmt.resolvent_probe(np.diag(a).astype(complex), np.zeros((30, 30)), 0.0, z)
+    p = rmt.resolvent_probe(np.diag(a).astype(complex), a, 0.0, z)
     assert np.max(np.abs(p.g_diag - 1.0 / (a - z))) < 1e-13
     assert p.trace_bg == 0 and p.trace_bgb == 0 and p.upsilon == 0
 
@@ -243,11 +243,10 @@ def test_resolvent_herglotz_and_identity():
     rng = rmt.sample_stream(5, 0)
     u = rmt.sample_haar_unitary(n, rng)
     w = rmt.sample_gue(n, rng)
-    bt = (u * a) @ u.conj().T
     h = rmt.build_matrix(a, a, u, 0.3, w)
     lam = np.linalg.eigvalsh(h)
     for z in (0.2 + 0.1j, -1.0 + 0.02j, 2.0 + 1.0j):
-        p = rmt.resolvent_probe(h, bt, 0.3, z)
+        p = rmt.resolvent_probe(h, a, 0.3, z, w)
         assert p.trace_g.imag > 0
         assert abs(p.trace_g - np.mean(1.0 / (lam - z))) < 1e-9
 
@@ -255,7 +254,7 @@ def test_resolvent_herglotz_and_identity():
 def test_resolvent_rejects_real_axis():
     h = np.diag(np.ones(4)).astype(complex)
     with pytest.raises(ValueError):
-        rmt.resolvent_probe(h, np.zeros((4, 4)), 0.0, 1.0 + 1e-12j)
+        rmt.resolvent_probe(h, np.ones(4), 0.0, 1.0 + 1e-12j)
 
 
 def test_resolvent_approximate_subordination():
@@ -269,8 +268,39 @@ def test_resolvent_approximate_subordination():
     rng = rmt.sample_stream(1, 0)
     u = rmt.sample_haar_unitary(n, rng)
     bt = (u * a) @ u.conj().T
-    p = rmt.resolvent_probe(bt + np.diag(a), bt, 0.0, z)
+    p = rmt.resolvent_probe(bt + np.diag(a), a, 0.0, z)
     assert abs(p.omega_a_c - sol.omega1) <= 0.05
+
+
+def explicit_traces(h, b_tilde, z):
+    """tr G, tr BG and tr BGB (normalized) from the explicit product B G."""
+    n = h.shape[0]
+    g = np.linalg.inv(h - z * np.eye(n))
+    bg = b_tilde @ g
+    return np.trace(g) / n, np.trace(bg) / n, np.trace(bg @ b_tilde) / n
+
+
+def test_resolvent_traces_match_explicit_product():
+    # The probe's traces come from p_i = (G B)_ii and, at t > 0, W G; they
+    # must agree with tr BG and tr BGB formed from the product B G itself.
+    n = 120
+    a = np.cos(np.linspace(0.0, 3.0, n)) + 0.3 * np.linspace(-1.0, 1.0, n) ** 3
+    b = uniform_quantiles(n) ** 2 - 0.4
+    rng = rmt.sample_stream(21, 0)
+    u = rmt.sample_haar_unitary(n, rng)
+    w = rmt.sample_gue(n, rng)
+    bt = (u * b) @ u.conj().T
+    for t in (0.0, 0.3):
+        h = rmt.build_matrix(a, b, u, t, w)
+        e_top = np.linalg.eigvalsh(h)[-1]
+        for z in (0.1 + 0.05j, e_top + 0.01j, 0.4 + 1e-3j, e_top + 1e-3j):
+            p = rmt.resolvent_probe(h, a, t, z, w)
+            trace_g, trace_bg, trace_bgb = explicit_traces(h, bt, z)
+            assert p.trace_g == trace_g
+            assert abs(p.trace_bg - trace_bg) <= 1e-13
+            assert abs(p.trace_bgb - trace_bgb) <= 1e-13
+            assert abs(p.upsilon - (trace_bg - trace_bg ** 2 + trace_g * trace_bgb)) <= 1e-12
+            assert abs(p.omega_a_c - (z - trace_bg / trace_g + t * trace_g)) <= 1e-12
 
 
 def test_decomposition_identities():
