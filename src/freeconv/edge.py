@@ -12,7 +12,8 @@ in the w2 coordinate instead: for real w2 beyond the support of mu2 the
 partner point w1 is recovered by inverting F1 = F2(w2), S has a simple zero
 at the critical w2, and the edge abscissa E(w2) = w1 + w2 - F2(w2) satisfies
 dE/dw2 = -S/F1', so it is stationary at the root and inherits twice the
-accuracy of the located w2.
+accuracy of the located w2.  Beyond the edge E(w2) is increasing, so
+inverting it solves the subordination system at real points there.
 
 The edge scale gamma is normalised through the density profile
 
@@ -30,12 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import measure as ms
-from .subordination import (
-    SubordinationQuery,
-    density_sweep,
-    f_transform,
-    solve,
-)
+from .subordination import DomainError, density_sweep, f_transform, solve
 
 _FIT_KAPPAS = (1e-2, 5e-3, 2.5e-3)
 _FIT_ETAS = (2e-4, 1e-4)
@@ -202,13 +198,11 @@ def _edge_core(mu1, mu2, t):
         ev = minus_s(w2)
         return ev is not None and ev[0] > 0.0
 
-    e_hi = s1.upper + s2.upper + 2.0 * math.sqrt(t) + 1.0
-    start = solve(SubordinationQuery(mu1, mu2, t, e_hi), tol=1e-13).omega2.real
     floor = s2.upper
-    # S < 0 at the start point or above it; then march the gap to the
-    # support down until the sign flips or the partner inversion fails
+    # march up from the support to a point with S < 0, then march the gap to
+    # the support down until the sign flips or the partner inversion fails
     # (both mean the band has been entered)
-    _, hi = _march(is_hi, floor, start - floor, 2.0, (start - floor) * 2.0 ** 59)
+    _, hi = _march(is_hi, floor, 1.0, 2.0, 2.0 ** 59)
     lo, hi = _march(is_hi, floor, 0.85 * (hi - floor), 0.85, 1e-13 * max(1.0, abs(floor)))
     w2 = _newton_root(minus_s, lo, hi)
     ev = _stability_at(mu1, mu2, t, w2, eps1)
@@ -359,20 +353,52 @@ def classical_locations(mu1, mu2, t, n, top_k, window=1.0, grid_points=None):
     return locs
 
 
+def omegas_beyond_edge(mu1, mu2, t, x, edge):
+    """Real subordination pair (omega1, omega2) at a real x above edge.e_plus.
+
+    Solves E(w2) = x for w2 above edge.omega2_edge, where E(w2) = w1 + w2 -
+    F2(w2) with w1 the partner point of w2; dE/dw2 = -S/F1' is positive
+    there, so a bracketed Newton iteration converges.  `edge` is the report
+    of find_edge_stability for the same (mu1, mu2, t).
+    """
+    x = float(x)
+    if not x > edge.e_plus:
+        raise DomainError("real x=%r is not beyond the upper edge %r" % (x, edge.e_plus))
+    eps1 = 1e-9 * max(1.0, abs(mu1.support().upper))
+
+    def e_minus_x(w2):
+        ev = _stability_at(mu1, mu2, t, w2, eps1)
+        if ev is None:
+            return None
+        s_val, _, w1 = ev
+        return w1 + w2 - _real_f(mu2, t, w2) - x, -s_val / _real_f(mu1, t, w1, 1)
+
+    def is_hi(w2):
+        ev = e_minus_x(w2)
+        return ev is not None and ev[0] > 0.0
+
+    gap = x - edge.e_plus
+    lo, hi = _march(is_hi, edge.omega2_edge, gap, 2.0, gap * 2.0 ** 79)
+    w2 = _newton_root(e_minus_x, lo, hi)
+    return _stability_at(mu1, mu2, t, w2, eps1)[2], w2
+
+
 def stability_diagnostics(mu1, mu2, t, z, edge):
     """S, T_alpha, T_beta and the edge distance at a point z.
 
     At the edge abscissa itself the polished subordination pair from the
-    edge report is used directly; the generic solver loses half its digits
-    there because the linearised system is singular at the edge.
+    edge report is used directly; other real z go through
+    omegas_beyond_edge, and im z > 0 through the subordination solver.
     """
     zc = complex(z)
-    if zc.imag == 0.0 and abs(zc.real - edge.e_plus) <= 1e-11 * max(1.0, abs(edge.e_plus)):
+    if zc.imag != 0.0:
+        sol = solve(mu1, mu2, t, zc, tol=1e-13)
+        w1, w2 = sol.omega1, sol.omega2
+    elif abs(zc.real - edge.e_plus) <= 1e-11 * max(1.0, abs(edge.e_plus)):
         w1 = complex(edge.omega1_edge, 0.0)
         w2 = complex(edge.omega2_edge, 0.0)
     else:
-        sol = solve(SubordinationQuery(mu1, mu2, t, zc), tol=1e-13)
-        w1, w2 = sol.omega1, sol.omega2
+        w1, w2 = omegas_beyond_edge(mu1, mu2, t, zc.real, edge)
     f1p = f_transform(mu1, t, w1, 1)
     f2p = f_transform(mu2, t, w2, 1)
     f1pp = f_transform(mu1, t, w1, 2)

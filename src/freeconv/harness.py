@@ -224,7 +224,7 @@ def run_local_law_experiment(cfg):
         mu_a = ms.atoms(a, np.full(n, 1.0 / n))
         mu_b = ms.atoms(b, np.full(n, 1.0 / n))
         z = edge_rep.e_plus + 1j * n ** (-cfg.eta_exponent)
-        omega_a = sub.solve(sub.SubordinationQuery(mu_a, mu_b, cfg.t, z)).omega1
+        omega_a = sub.solve(mu_a, mu_b, cfg.t, z).omega1
         theory_diag = 1.0 / (a - omega_a)
 
         def one(k, n=n, a=a, b=b, z=z, theory=theory_diag, omega=omega_a):

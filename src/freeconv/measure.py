@@ -96,14 +96,6 @@ class Measure:
     def weights(self):
         return self._weights
 
-    @property
-    def nodes(self):
-        return self._nodes
-
-    @property
-    def values(self):
-        return self._values
-
     def __repr__(self):
         if self.family in ("atoms", "grid"):
             n = len(self._locations if self.family == "atoms" else self._nodes)
@@ -309,7 +301,7 @@ def cdf(mu, x):
         a, b = mu.params
         u = np.clip((2.0 * x - a - b) / (b - a), -1.0, 1.0)
         return 0.5 + np.arcsin(u) / np.pi
-    return np.interp(x, mu.nodes, mu._grid_cdf, left=0.0, right=1.0)
+    return np.interp(x, mu._nodes, mu._grid_cdf, left=0.0, right=1.0)
 
 
 def quantiles(mu, n):
@@ -328,35 +320,3 @@ def quantiles(mu, n):
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
 
-
-def levy_distance(mu1, mu2, grid_points=100000):
-    """Levy distance between two measures.
-
-    Bisects over epsilon in the sandwich definition, scanning CDFs on a
-    uniform grid spanning the joint support padded by 1; accurate to the
-    grid resolution (about (span + 2)/grid_points, default ~1e-4).
-    """
-    s1, s2 = mu1.support(), mu2.support()
-    lo = min(s1.lower, s2.lower) - 1.0
-    hi = max(s1.upper, s2.upper) + 1.0
-    grid = np.linspace(lo, hi, grid_points)
-    f2 = cdf(mu2, grid)
-    slack = 1e-12
-
-    def ok(eps):
-        upper = cdf(mu1, grid + eps) + eps
-        lower = cdf(mu1, grid - eps) - eps
-        return bool(np.all(f2 <= upper + slack) and np.all(f2 >= lower - slack))
-
-    e_lo, e_hi = 0.0, hi - lo
-    if ok(0.0):
-        return 0.0
-    for _ in range(60):
-        mid = 0.5 * (e_lo + e_hi)
-        if ok(mid):
-            e_hi = mid
-        else:
-            e_lo = mid
-        if e_hi - e_lo < 1e-7:
-            break
-    return e_hi

@@ -12,9 +12,7 @@ step on its fixed-point equation, kept in {im omega >= im z}, takes over from
 the plain step.  The fixed point gives m_{mu_t}(z) = m_{mu1}(omega1) =
 m_{mu2}(omega2) for the free convolution mu_t = mu1 (+) mu2 (+) semicircle(t),
 and the density follows by Stieltjes inversion with linear eta-extrapolation.
-
-Real z beyond the upper edge is handled by seeding from z + 1e-6 i and
-polishing with a damped 2x2 Newton iteration; the solution there is real.
+Real z beyond the upper edge is solved in `edge.omegas_beyond_edge`.
 """
 
 from dataclasses import dataclass
@@ -39,19 +37,10 @@ class DomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class SubordinationQuery:
-    mu1: ms.Measure
-    mu2: ms.Measure
-    t: float
-    z: complex
-
-
-@dataclass(frozen=True)
 class SubordinationSolution:
     omega1: complex
     omega2: complex
     m: complex
-    f_value: complex
     residual: float
     iterations: int
     converged: bool
@@ -106,83 +95,26 @@ def _iterate_upper(mu1, mu2, t, z, tol, max_iter, omega2_init):
     raise NonConvergenceError(max_iter, res)
 
 
-def _newton_real(mu1, mu2, t, z, w1, w2, tol, max_iter=200):
-    """Damped 2x2 Newton polish of Phi = 0 on the real axis beyond the edge."""
-    top1 = mu1.support().upper
-    top2 = mu2.support().upper
+def solve(mu1, mu2, t, z, tol=1e-12, max_iter=100000, omega2_init=None):
+    """Solve the subordination system at z with im z > 0.
 
-    def phi(w1, w2):
-        p1 = f_transform(mu1, t, w1) - w1 - w2 + z
-        p2 = f_transform(mu2, t, w2) - w1 - w2 + z
-        return p1.real, p2.real
-
-    p1, p2 = phi(w1, w2)
-    res = max(abs(p1), abs(p2))
-    for it in range(1, max_iter + 1):
-        if res <= tol:
-            return w1, w2, res, it
-        a = (f_transform(mu1, t, w1, 1) - 1.0).real
-        d = (f_transform(mu2, t, w2, 1) - 1.0).real
-        det = a * d - 1.0
-        if det == 0.0:
-            break
-        # J = [[a, -1], [-1, d]]; J^{-1} = [[d, 1], [1, a]] / det
-        dw1 = -(d * p1 + p2) / det
-        dw2 = -(p1 + a * p2) / det
-        step = 1.0
-        for _ in range(40):
-            c1, c2 = w1 + step * dw1, w2 + step * dw2
-            if c1 <= top1 or c2 <= top2:
-                step *= 0.5
-                continue
-            q1, q2 = phi(c1, c2)
-            cand = max(abs(q1), abs(q2))
-            if cand < res or cand <= tol:
-                w1, w2, p1, p2, res = c1, c2, q1, q2, cand
-                break
-            step *= 0.5
-        else:
-            break
-    if res > tol:
-        raise NonConvergenceError(it, res)
-    return w1, w2, res, it
-
-
-def solve(query, tol=1e-12, max_iter=100000, omega2_init=None):
-    """Solve the subordination system at query.z.
-
-    Accepts im z > 0, or real z beyond the upper edge (checked post hoc via
-    realness of the polished solution).  `omega2_init` warm-starts the
-    iteration, e.g. from the previous point of a contour sweep.
+    `omega2_init` warm-starts the iteration, e.g. from the previous point of
+    a contour sweep.
     """
-    if query.t < 0:
+    if t < 0:
         raise DomainError("t must be nonnegative")
     if tol < 1e-14:
         raise DomainError("tol below 1e-14 is not resolvable in double precision")
-    mu1, mu2, t = query.mu1, query.mu2, query.t
-    z = complex(query.z)
-    if z.imag < 0:
-        raise DomainError("im z must be >= 0")
-    if z.imag > 0:
-        w1, w2, res, it = _iterate_upper(mu1, mu2, t, z, tol, max_iter, omega2_init)
-    else:
-        if omega2_init is not None and complex(omega2_init).imag == 0.0:
-            w2s = complex(omega2_init).real
-            w1s = z.real + _h(mu2, t, w2s).real
-        else:
-            zc = z + 1e-6j
-            w1c, w2c, _, _ = _iterate_upper(mu1, mu2, t, zc, tol, max_iter, omega2_init)
-            w1s, w2s = w1c.real, w2c.real
-        if w1s <= mu1.support().upper or w2s <= mu2.support().upper:
-            raise DomainError("real z=%g is not beyond the upper edge" % z.real)
-        w1, w2, res, it = _newton_real(mu1, mu2, t, z, w1s, w2s, tol)
-        w1, w2 = complex(w1), complex(w2)
+    z = complex(z)
+    if not z.imag > 0:
+        raise DomainError("im z must be > 0; real z beyond the edge is solved by "
+                          "edge.omegas_beyond_edge")
+    w1, w2, res, it = _iterate_upper(mu1, mu2, t, z, tol, max_iter, omega2_init)
     m1 = ms.stieltjes(mu1, w1)
     p1 = f_transform(mu1, t, w1) - w1 - w2 + z
     p2 = f_transform(mu2, t, w2) - w1 - w2 + z
     res = max(abs(p1), abs(p2))
-    return SubordinationSolution(omega1=w1, omega2=w2, m=m1,
-                                 f_value=w1 + w2 - z, residual=res,
+    return SubordinationSolution(omega1=w1, omega2=w2, m=m1, residual=res,
                                  iterations=it, converged=res <= tol)
 
 
@@ -209,9 +141,9 @@ def density_sweep(mu1, mu2, t, grid, eta_seq=(1e-3, 5e-4), tol=1e-12,
         ims = np.empty(len(etas))
         bad = False
         for k, eta in enumerate(etas):
-            q = SubordinationQuery(mu1, mu2, t, complex(e_val, eta))
             try:
-                sol = solve(q, tol=tol, max_iter=max_iter, omega2_init=warm[k])
+                sol = solve(mu1, mu2, t, complex(e_val, eta), tol=tol, max_iter=max_iter,
+                            omega2_init=warm[k])
             except (NonConvergenceError, DomainError):
                 bad = True
                 warm[k] = None
@@ -227,8 +159,3 @@ def density_sweep(mu1, mu2, t, grid, eta_seq=(1e-3, 5e-4), tol=1e-12,
         rho[j] = max(intercept / np.pi, 0.0)
     return rho, resid, iters
 
-
-def density(mu1, mu2, t, grid, eta_seq=(1e-3, 5e-4)):
-    """Density values of mu_t = mu1 (+) mu2 (+) sc(t) on the given grid."""
-    rho, _, _ = density_sweep(mu1, mu2, t, grid, eta_seq=eta_seq)
-    return rho

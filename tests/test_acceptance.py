@@ -27,17 +27,13 @@ def _line(num, ok, detail):
     print("criterion %02d %s  %s" % (num, "PASS" if ok else "FAIL", detail))
 
 
-def _solve(mu1, mu2, t, z):
-    return sub.solve(sub.SubordinationQuery(mu1, mu2, t, z))
-
-
 def test_criterion_01_semicircle_self_convolution():
     sc1 = ms.semicircle(1.0)
     start = time.perf_counter()
     worst = 0.0
     for x in np.linspace(-3.5, 3.5, 100):
         z = complex(x, 0.05)
-        m = _solve(sc1, sc1, 0.0, z).m
+        m = sub.solve(sc1, sc1, 0.0, z).m
         exact = (-z + z * np.sqrt(1.0 - 8.0 / (z * z))) / 4.0
         worst = max(worst, abs(m - exact))
     elapsed = time.perf_counter() - start
@@ -55,7 +51,7 @@ def test_criterion_02_delta_shift_identity():
             delta = ms.point_mass(c)
             for x in np.linspace(-2.5, 2.5, 20):
                 z = complex(x, 0.35)
-                omega1 = _solve(mu, delta, 0.0, z).omega1
+                omega1 = sub.solve(mu, delta, 0.0, z).omega1
                 worst = max(worst, abs(omega1 - (z - c)))
     ok = worst <= 1e-10
     _line(2, ok, "max |omega1 - (z - c)| = %.3e (tol 1e-10)" % worst)

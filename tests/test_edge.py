@@ -157,9 +157,9 @@ def test_edge_from_xi_on_grid_base_measure():
     # stability search on the same three-fold system.
     half = UU_E_PLUS - 5e-4
     nodes = np.linspace(-half, half, 2060)
-    rho = sub.density(
+    rho = sub.density_sweep(
         ms.uniform(-1, 1), ms.uniform(-1, 1), 0.0, nodes, eta_seq=(2e-4, 1e-4)
-    )
+    )[0]
     mu0 = ms.grid_density(nodes, np.nan_to_num(rho, nan=0.0))
     e, _ = eg.edge_from_xi(mu0, T300_13)
     assert abs(e - UU_T13_E_PLUS) <= 2e-3
@@ -195,7 +195,7 @@ def test_classical_locations_uniform_resubstitution():
     assert np.all(locs < UU_E_PLUS)
     # independent tail quadrature on a uniform fine grid
     grid = np.linspace(locs[-1], UU_E_PLUS - 1e-6, 400)
-    rho = sub.density(mu, mu, 0.0, grid, eta_seq=(2e-4, 1e-4))
+    rho = sub.density_sweep(mu, mu, 0.0, grid, eta_seq=(2e-4, 1e-4))[0]
     for j in (1, 10):
         sel = grid >= locs[j - 1]
         mass = np.trapezoid(rho[sel], grid[sel])
@@ -260,8 +260,8 @@ def test_subordination_square_root_expansion():
     mu = ms.semicircle(1.0)
     ratios = []
     for kappa in (1e-2, 1e-3, 1e-4):
-        sol = sub.solve(sub.SubordinationQuery(mu, mu, 0.0, rep.e_plus + kappa))
-        ratios.append(abs(sol.omega1.real - rep.omega1_edge) / math.sqrt(kappa))
+        w1, _ = eg.omegas_beyond_edge(mu, mu, 0.0, rep.e_plus + kappa, rep)
+        ratios.append(abs(w1 - rep.omega1_edge) / math.sqrt(kappa))
     assert abs(ratios[1] / ratios[0] - 1.0) < 0.1
     assert abs(ratios[2] / ratios[1] - 1.0) < 0.1
 
@@ -270,10 +270,36 @@ def test_omega_monotone_beyond_edge():
     rep = sc_edge()
     mu = ms.semicircle(1.0)
     vals = [
-        sub.solve(sub.SubordinationQuery(mu, mu, 0.0, rep.e_plus + 0.1 * k)).omega1.real
+        eg.omegas_beyond_edge(mu, mu, 0.0, rep.e_plus + 0.1 * k, rep)[0]
         for k in range(1, 6)
     ]
     assert np.all(np.diff(vals) > 0)
+    with pytest.raises(sub.DomainError):
+        sub.solve(mu, mu, 0.0, rep.e_plus + 0.1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.sampled_from([0.0, 0.5]), kappa=st.floats(min_value=1e-3, max_value=2.0))
+def test_omegas_beyond_edge_match_upper_half_plane_property(t, kappa):
+    # omega is analytic off the support and |omega'| ~ 1/sqrt(kappa) next to
+    # a square-root edge, so the real pair and the solve at x + i eta differ
+    # by O(eta / sqrt(kappa))
+    mu = ms.uniform(-1.0, 1.0)
+    rep = uu_edge(t)
+    x, eta = rep.e_plus + kappa, 1e-8
+    w1, w2 = eg.omegas_beyond_edge(mu, mu, t, x, rep)
+    sol = sub.solve(mu, mu, t, complex(x, eta))
+    bound = 10.0 * eta / math.sqrt(kappa)
+    assert abs(sol.omega1 - w1) <= bound
+    assert abs(sol.omega2 - w2) <= bound
+
+
+@settings(max_examples=15, deadline=None)
+@given(t=st.floats(min_value=0.0, max_value=0.999), dt=st.floats(min_value=1e-3, max_value=1.0))
+def test_uniform_pair_edge_increases_with_time_property(t, dt):
+    mu = ms.uniform(-1.0, 1.0)
+    t2 = min(t + dt, 1.0)
+    assert eg.find_edge_stability(mu, mu, t).e_plus < eg.find_edge_stability(mu, mu, t2).e_plus
 
 
 def test_im_m_profile_both_sides():
@@ -285,10 +311,10 @@ def test_im_m_profile_both_sides():
     inside = []
     for eta in etas:
         z = complex(rep.e_plus + kappa, eta)
-        m = sub.solve(sub.SubordinationQuery(mu, mu, 0.0, z)).m
+        m = sub.solve(mu, mu, 0.0, z).m
         outside.append(m.imag * math.sqrt(kappa + eta) / eta)
         z = complex(rep.e_plus - kappa, eta)
-        m = sub.solve(sub.SubordinationQuery(mu, mu, 0.0, z)).m
+        m = sub.solve(mu, mu, 0.0, z).m
         inside.append(m.imag / math.sqrt(kappa + eta))
     assert min(outside) > 0 and max(outside) / min(outside) < 1.5
     assert min(inside) > 0 and max(inside) / min(inside) < 1.5

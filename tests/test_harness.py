@@ -164,7 +164,7 @@ def test_local_law_record_recompute():
     a = ms.quantiles(mu1, n)
     mu_atom = ms.atoms(a, np.full(n, 1.0 / n))
     z = eg.find_edge_stability(mu1, mu1, 0.0).e_plus + 1j * n ** (-0.6)
-    omega = sub.solve(sub.SubordinationQuery(mu_atom, mu_atom, 0.0, z)).omega1
+    omega = sub.solve(mu_atom, mu_atom, 0.0, z).omega1
     u = rmt.sample_haar_unitary(n, rmt.sample_stream(seed, 0))
     probe = rmt.resolvent_probe(rmt.build_matrix(a, a, u), a, 0.0, z)
     err = float(np.max(np.abs(probe.g_diag - 1.0 / (a - omega))))
@@ -192,7 +192,7 @@ def test_local_law_gated_statistic_recompute():
     a = ms.quantiles(mu1, n)
     mu_atom = ms.atoms(a, np.full(n, 1.0 / n))
     z = eg.find_edge_stability(mu1, mu1, 0.0).e_plus + 1j * n ** (-0.6)
-    omega = sub.solve(sub.SubordinationQuery(mu_atom, mu_atom, 0.0, z)).omega1
+    omega = sub.solve(mu_atom, mu_atom, 0.0, z).omega1
     u = rmt.sample_haar_unitary(n, rmt.sample_stream(seed, 0))
     g_diag = rmt.resolvent_probe(rmt.build_matrix(a, a, u), a, 0.0, z).g_diag
     local = float(np.max(np.abs(a - 1.0 / g_diag - omega)))
@@ -222,7 +222,7 @@ def test_local_law_flow_time_record_recompute():
     a = ms.quantiles(mu1, n)
     mu_atom = ms.atoms(a, np.full(n, 1.0 / n))
     z = eg.find_edge_stability(mu1, mu1, t).e_plus + 1j * n ** (-0.6)
-    omega = sub.solve(sub.SubordinationQuery(mu_atom, mu_atom, t, z)).omega1
+    omega = sub.solve(mu_atom, mu_atom, t, z).omega1
     rng = rmt.sample_stream(seed, 0)
     u = rmt.sample_haar_unitary(n, rng)
     w = rmt.sample_gue(n, rng)

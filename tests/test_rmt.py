@@ -264,7 +264,7 @@ def test_resolvent_approximate_subordination():
     a = uniform_quantiles(n)
     z = eg.find_edge_stability(ms.uniform(-1, 1), ms.uniform(-1, 1), 0.0).e_plus \
         + 1j * n ** (-0.6)
-    sol = sub.solve(sub.SubordinationQuery(ms.uniform(-1, 1), ms.uniform(-1, 1), 0.0, z))
+    sol = sub.solve(ms.uniform(-1, 1), ms.uniform(-1, 1), 0.0, z)
     rng = rmt.sample_stream(1, 0)
     u = rmt.sample_haar_unitary(n, rng)
     bt = (u * a) @ u.conj().T

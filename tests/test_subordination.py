@@ -1,4 +1,4 @@
-"""Subordination solver: fixed point, real-axis polish, density inversion."""
+"""Subordination solver: fixed point, real axis beyond the edge, density inversion."""
 
 import math
 import os
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freeconv import edge as eg
 from freeconv import measure as ms
 from freeconv import subordination as sub
 
@@ -16,6 +17,21 @@ def m_sc(z, var=1.0):
     z = complex(z)
     s = np.sqrt(complex(z - 2 * math.sqrt(var))) * np.sqrt(complex(z + 2 * math.sqrt(var)))
     return (-z + s) / (2 * var)
+
+
+def beyond_edge(mu1, mu2, t, x):
+    """Real (omega1, omega2, residual) at x beyond the upper edge.
+
+    Real z is solved in the edge module; the upper half-plane solver must
+    reject it.
+    """
+    with pytest.raises(sub.DomainError):
+        sub.solve(mu1, mu2, t, x)
+    rep = eg.find_edge_stability(mu1, mu2, t)
+    w1, w2 = eg.omegas_beyond_edge(mu1, mu2, t, x, rep)
+    res = max(abs(sub.f_transform(mu1, t, w1) - w1 - w2 + x),
+              abs(sub.f_transform(mu2, t, w2) - w1 - w2 + x))
+    return w1, w2, res
 
 
 def test_f_transform_examples():
@@ -51,27 +67,25 @@ def test_f_transform_derivative_matches_finite_difference():
 
 
 def test_solve_semicircle_pair_t0():
-    q = sub.SubordinationQuery(ms.semicircle(1.0), ms.semicircle(1.0), 0.0, 3.0 + 0.0j)
-    sol = sub.solve(q)
-    assert sol.converged and sol.residual < 1e-12
-    assert abs(sol.omega1 - 2.5) < 1e-10
-    assert abs(sol.omega2 - 2.5) < 1e-10
-    assert abs(sol.m - (-0.5)) < 1e-10
-    assert abs(sol.f_value - (sol.omega1 + sol.omega2 - 3.0)) < 1e-12
+    mu = ms.semicircle(1.0)
+    w1, w2, res = beyond_edge(mu, mu, 0.0, 3.0)
+    assert res < 1e-12
+    assert abs(w1 - 2.5) < 1e-10
+    assert abs(w2 - 2.5) < 1e-10
+    assert abs(ms.stieltjes(mu, w1) - (-0.5)) < 1e-10
 
 
 def test_solve_semicircle_pair_t1():
-    q = sub.SubordinationQuery(ms.semicircle(1.0), ms.semicircle(1.0), 1.0, 4.0)
-    sol = sub.solve(q)
-    assert abs(sol.omega1 - 10.0 / 3.0) < 1e-10
-    assert abs(sol.m - (-1.0 / 3.0)) < 1e-10
+    mu = ms.semicircle(1.0)
+    w1, _, _ = beyond_edge(mu, mu, 1.0, 4.0)
+    assert abs(w1 - 10.0 / 3.0) < 1e-10
+    assert abs(ms.stieltjes(mu, w1) - (-1.0 / 3.0)) < 1e-10
 
 
 def test_solve_delta_shift():
     for c in (-0.3, 0.5):
         for z in (2j, 0.7 + 1.1j):
-            q = sub.SubordinationQuery(ms.semicircle(1.0), ms.point_mass(c), 0.0, z)
-            sol = sub.solve(q)
+            sol = sub.solve(ms.semicircle(1.0), ms.point_mass(c), 0.0, z)
             assert abs(sol.omega1 - (z - c)) < 1e-10
             assert abs(sol.m - m_sc(z - c)) < 1e-10
 
@@ -81,25 +95,24 @@ def test_solve_matches_sc2_on_contour():
     w2 = None
     for x in np.linspace(-3.5, 3.5, 40):
         z = complex(x, 0.05)
-        sol = sub.solve(sub.SubordinationQuery(mu, mu, 0.0, z), omega2_init=w2)
+        sol = sub.solve(mu, mu, 0.0, z, omega2_init=w2)
         w2 = sol.omega2
         assert abs(sol.m - m_sc(z, 2.0)) < 1e-10
 
 
 def test_solve_m_consistent_between_sides():
-    q = sub.SubordinationQuery(ms.uniform(-1.0, 1.0), ms.arcsine(-1.0, 1.0), 0.3, 0.4 + 0.2j)
-    sol = sub.solve(q)
-    m1 = ms.stieltjes(q.mu1, sol.omega1)
-    m2 = ms.stieltjes(q.mu2, sol.omega2)
+    mu1, mu2 = ms.uniform(-1.0, 1.0), ms.arcsine(-1.0, 1.0)
+    sol = sub.solve(mu1, mu2, 0.3, 0.4 + 0.2j)
+    m1 = ms.stieltjes(mu1, sol.omega1)
+    m2 = ms.stieltjes(mu2, sol.omega2)
     assert abs(m1 - m2) < 1e-10
-    assert abs(sol.f_value - (sol.omega1 + sol.omega2 - q.z)) < 1e-10
 
 
 def test_solve_swap_symmetry():
     mu1, mu2 = ms.uniform(-1.0, 1.0), ms.semicircle(0.5, 0.2)
     z = 0.3 + 0.4j
-    a = sub.solve(sub.SubordinationQuery(mu1, mu2, 0.2, z))
-    b = sub.solve(sub.SubordinationQuery(mu2, mu1, 0.2, z))
+    a = sub.solve(mu1, mu2, 0.2, z)
+    b = sub.solve(mu2, mu1, 0.2, z)
     assert abs(a.omega1 - b.omega2) < 1e-10
     assert abs(a.omega2 - b.omega1) < 1e-10
     assert abs(a.m - b.m) < 1e-10
@@ -109,16 +122,15 @@ def test_time_route_consistency():
     # omega_{1,t}(z) = omega_{1,0}(z + t m_{mu_t}(z))
     mu1, mu2, t = ms.uniform(-1.0, 1.0), ms.uniform(-1.0, 1.0), 0.4
     for z in (0.5 + 0.8j, 1.9 + 0.3j):
-        st_ = sub.solve(sub.SubordinationQuery(mu1, mu2, t, z))
-        s0 = sub.solve(sub.SubordinationQuery(mu1, mu2, 0.0, z + t * st_.m))
+        st_ = sub.solve(mu1, mu2, t, z)
+        s0 = sub.solve(mu1, mu2, 0.0, z + t * st_.m)
         assert abs(st_.omega1 - s0.omega1) < 1e-8
 
 
 def test_half_plane_preservation():
     for z in (0.1 + 0.02j, 2.0 + 1.0j, -1.5 + 0.3j):
         for t in (0.0, 1.3):
-            sol = sub.solve(sub.SubordinationQuery(ms.arcsine(-1.0, 1.0),
-                                                   ms.uniform(-0.5, 1.5), t, z))
+            sol = sub.solve(ms.arcsine(-1.0, 1.0), ms.uniform(-0.5, 1.5), t, z)
             assert sol.omega1.imag >= z.imag - 1e-10
             assert sol.omega2.imag >= z.imag - 1e-10
 
@@ -133,44 +145,38 @@ def test_pick_property_of_f(re, im, t):
 
 def test_real_axis_solve_beyond_edge():
     mu = ms.semicircle(1.0)
-    sol = sub.solve(sub.SubordinationQuery(mu, mu, 0.0, 3.0))
-    assert sol.omega1.imag == 0.0
-    assert abs(sol.omega1 - 2.5) < 1e-11
-    # warm start from a nearby real solution
-    sol2 = sub.solve(sub.SubordinationQuery(mu, mu, 0.0, 3.01), omega2_init=sol.omega2.real)
-    assert abs(sol2.residual) < 1e-12
-    assert sol2.omega1.real > 2.5
-
-
-def test_real_axis_warm_start_uniform():
-    # a real warm start must not depend on the type of the support bounds
-    mu = ms.uniform(-1.0, 1.0)
-    sol = sub.solve(sub.SubordinationQuery(mu, mu, 0.0, 2.0))
-    warm = sub.solve(sub.SubordinationQuery(mu, mu, 0.0, 2.0), omega2_init=sol.omega2.real)
-    assert warm.residual < 1e-12
-    assert abs(warm.omega2 - sol.omega2) < 1e-12
+    w1, _, _ = beyond_edge(mu, mu, 0.0, 3.0)
+    assert type(w1) is float
+    assert abs(w1 - 2.5) < 1e-11
+    w1, _, res = beyond_edge(mu, mu, 0.0, 3.01)
+    assert res < 1e-12
+    assert w1 > 2.5
 
 
 def test_real_axis_inside_support_rejected():
     mu = ms.semicircle(1.0)
-    with pytest.raises((sub.DomainError, ValueError)):
-        sub.solve(sub.SubordinationQuery(mu, mu, 0.0, 2.0))  # inside sc(2) support
+    rep = eg.find_edge_stability(mu, mu, 0.0)
+    for x in (2.0, rep.e_plus):  # inside the sc(2) support, and at its edge
+        with pytest.raises(sub.DomainError):
+            sub.solve(mu, mu, 0.0, x)
+        with pytest.raises(sub.DomainError):
+            eg.omegas_beyond_edge(mu, mu, 0.0, x, rep)
 
 
 def test_query_validation():
     mu = ms.semicircle(1.0)
     with pytest.raises(sub.DomainError):
-        sub.solve(sub.SubordinationQuery(mu, mu, -0.5, 1j))
+        sub.solve(mu, mu, -0.5, 1j)
     with pytest.raises(sub.DomainError):
-        sub.solve(sub.SubordinationQuery(mu, mu, 0.0, 1 - 1j))
+        sub.solve(mu, mu, 0.0, 1 - 1j)
     with pytest.raises(sub.DomainError):
-        sub.solve(sub.SubordinationQuery(mu, mu, 0.0, 1j), tol=1e-16)
+        sub.solve(mu, mu, 0.0, 1j, tol=1e-16)
 
 
 def test_nonconvergence_reports_iterations():
     mu = ms.semicircle(1.0)
     with pytest.raises(sub.NonConvergenceError) as exc:
-        sub.solve(sub.SubordinationQuery(mu, mu, 0.0, 0.0 + 0.001j), max_iter=3)
+        sub.solve(mu, mu, 0.0, 0.0 + 0.001j, max_iter=3)
     assert exc.value.iterations == 3
     assert exc.value.residual > 0
 
@@ -183,7 +189,7 @@ def test_edge_stall_semicircle_closed_form(kappa, eta):
     # fixed-point step stalls, so a cold start must still converge quickly
     mu = ms.point_mass(0.0)
     z = complex(2.0 - kappa, eta)
-    sol = sub.solve(sub.SubordinationQuery(mu, mu, 1.0, z))
+    sol = sub.solve(mu, mu, 1.0, z)
     assert abs(sol.m - m_sc(z)) <= 1e-10
     assert sol.iterations <= 100
 
@@ -194,7 +200,7 @@ def test_semicircle_pair_property(t, re, im):
     # sc(1) (+) sc(1) (+) sc(t) is the semicircle of variance 2 + t
     mu = ms.semicircle(1.0)
     z = complex(re, im)
-    sol = sub.solve(sub.SubordinationQuery(mu, mu, t, z))
+    sol = sub.solve(mu, mu, t, z)
     assert sol.converged
     assert abs(sol.m - m_sc(z, 2.0 + t)) <= 1e-9
     assert sol.omega1.imag >= im - 1e-10
@@ -203,9 +209,9 @@ def test_semicircle_pair_property(t, re, im):
 
 def test_density_semicircle_pair():
     mu = ms.semicircle(1.0)
-    rho = sub.density(mu, mu, 0.0, np.array([0.0]))
+    rho = sub.density_sweep(mu, mu, 0.0, np.array([0.0]))[0]
     assert abs(rho[0] - 1.0 / (math.pi * math.sqrt(2.0))) < 1e-6
-    far = sub.density(mu, mu, 0.0, np.array([6.0]))
+    far = sub.density_sweep(mu, mu, 0.0, np.array([6.0]))[0]
     assert far[0] <= 1e-10
 
 
@@ -252,5 +258,5 @@ def _density_vs_monte_carlo(n):
     # far more accurate than a histogram bin)
     w = 0.2
     est = (np.searchsorted(lam, w) - np.searchsorted(lam, -w)) / (2.0 * w * n)
-    rho0 = sub.density(mu, mu, 0.0, np.array([0.0]))[0]
+    rho0 = sub.density_sweep(mu, mu, 0.0, np.array([0.0]))[0][0]
     assert abs(est - rho0) < 0.01
