@@ -74,7 +74,7 @@ _KEY_SPECS = {
     "ks_threshold": (_cast_float, "decision threshold for the verify commands, in (0, 1)"),
     "eta_exponent": (_cast_float, "probe height exponent: eta = N^(-eta_exponent)"),
     "chi": (_cast_float, "flow exponent offset for verify-dbm: t0 = N^(-1/3 + chi)"),
-    "sizes": (_cast_sizes, "matrix sizes for verify-local-law, at least three"),
+    "sizes": (_cast_sizes, "matrix sizes for verify-local-law, at least three, increasing"),
     "top_k": (_cast_int, "eigenvalue count scored by verify-rigidity"),
     "rigidity_limit": (_cast_float, "bound on the 95th-percentile rigidity statistic"),
     "out_dir": (_cast_str, "directory receiving the output files"),
@@ -147,9 +147,6 @@ def parse_measure(key, spec):
         if len(params) < 2 or len(params) % 2:
             raise ConfigError("%s: atoms need location,weight pairs" % key)
         params = [params[0::2], params[1::2]]
-    elif tag == "grid":
-        raise ConfigError("%s: grid measures need arrays; use a named family "
-                          "or atoms" % key)
     try:
         return ms.from_config(tag, params)
     except (ValueError, TypeError) as exc:
@@ -219,6 +216,8 @@ def resolve_config(command, args):
             raise ConfigError("sizes needs at least three entries")
         if min(merged["sizes"]) < 1:
             raise ConfigError("sizes entries must be >= 1")
+        if any(b <= a for a, b in zip(merged["sizes"], merged["sizes"][1:])):
+            raise ConfigError("sizes must be strictly increasing")
     return merged
 
 

@@ -151,16 +151,14 @@ def _invert_f(mu, t, u, eps):
 
 
 def _stability_at(mu1, mu2, t, w2, eps1):
-    """(S, dS/dw2, w1) at a real w2 beyond the support of mu2, or None inside the band."""
+    """(S, w1, F1'(w1), F2'(w2)) at a real w2 beyond the support of mu2, or
+    None inside the band."""
     w1 = _invert_f(mu1, t, _real_f(mu2, t, w2), eps1)
     if w1 is None:
         return None
     f1p = _real_f(mu1, t, w1, 1)
     f2p = _real_f(mu2, t, w2, 1)
-    # dS/dw2 with dw1/dw2 = F2'/F1' along the matched curve
-    ds = (_real_f(mu1, t, w1, 2) * (f2p / f1p) * (f2p - 1.0)
-          + (f1p - 1.0) * _real_f(mu2, t, w2, 2))
-    return (f1p - 1.0) * (f2p - 1.0) - 1.0, ds, w1
+    return (f1p - 1.0) * (f2p - 1.0) - 1.0, w1, f1p, f2p
 
 
 def _edge_core(mu1, mu2, t):
@@ -192,11 +190,17 @@ def _edge_core(mu1, mu2, t):
 
     def minus_s(w2):
         ev = _stability_at(mu1, mu2, t, w2, eps1)
-        return None if ev is None else (-ev[0], -ev[1])
+        if ev is None:
+            return None
+        s_val, w1, f1p, f2p = ev
+        # dS/dw2 with dw1/dw2 = F2'/F1' along the matched curve
+        ds = (_real_f(mu1, t, w1, 2) * (f2p / f1p) * (f2p - 1.0)
+              + (f1p - 1.0) * _real_f(mu2, t, w2, 2))
+        return -s_val, -ds
 
     def is_hi(w2):
-        ev = minus_s(w2)
-        return ev is not None and ev[0] > 0.0
+        ev = _stability_at(mu1, mu2, t, w2, eps1)
+        return ev is not None and ev[0] < 0.0
 
     floor = s2.upper
     # march up from the support to a point with S < 0, then march the gap to
@@ -212,7 +216,7 @@ def _edge_core(mu1, mu2, t):
             "stability function does not vanish above the support "
             "(residual %.3g); the edge is not of square-root type" % abs(s_val)
         )
-    w1 = ev[2]
+    w1 = ev[1]
     e_plus = w1 + w2 - _real_f(mu2, t, w2)
     return e_plus, w1, w2, abs(s_val)
 
@@ -313,13 +317,13 @@ def gamma_from_density_fit(mu1, mu2, t, e_plus):
     return (math.pi * c) ** (2.0 / 3.0)
 
 
-def classical_locations(mu1, mu2, t, n, top_k, window=1.0, grid_points=None):
+def classical_locations(mu1, mu2, t, n, top_k, grid_points=None):
     """Deterministic eigenvalue locations gamma_1 >= ... >= gamma_top_k.
 
     gamma_j leaves tail mass (j - 1/2)/n above it under the convolved
     measure; the tail CDF is built by quadrature of the computed density on
-    a grid refined quadratically toward the edge, widening the window until
-    the deepest target is covered.
+    a grid refined quadratically toward the edge, widening the window below
+    the edge from 1 until the deepest target is covered.
     """
     if n <= 0 or top_k <= 0 or top_k > n:
         raise ValueError("need 0 < top_k <= n")
@@ -328,7 +332,7 @@ def classical_locations(mu1, mu2, t, n, top_k, window=1.0, grid_points=None):
 
     s1, s2 = mu1.support(), mu2.support()
     span_cap = e_plus - (s1.lower + s2.lower - 2.0 * math.sqrt(t)) + 0.5
-    w = min(float(window), span_cap)
+    w = min(1.0, span_cap)
     if grid_points is None:
         grid_points = int(max(800, min(6000, 12 * top_k)))
     for _ in range(9):
@@ -370,8 +374,8 @@ def omegas_beyond_edge(mu1, mu2, t, x, edge):
         ev = _stability_at(mu1, mu2, t, w2, eps1)
         if ev is None:
             return None
-        s_val, _, w1 = ev
-        return w1 + w2 - _real_f(mu2, t, w2) - x, -s_val / _real_f(mu1, t, w1, 1)
+        s_val, w1, f1p, _ = ev
+        return w1 + w2 - _real_f(mu2, t, w2) - x, -s_val / f1p
 
     def is_hi(w2):
         ev = e_minus_x(w2)
@@ -380,7 +384,7 @@ def omegas_beyond_edge(mu1, mu2, t, x, edge):
     gap = x - edge.e_plus
     lo, hi = _march(is_hi, edge.omega2_edge, gap, 2.0, gap * 2.0 ** 79)
     w2 = _newton_root(e_minus_x, lo, hi)
-    return _stability_at(mu1, mu2, t, w2, eps1)[2], w2
+    return _stability_at(mu1, mu2, t, w2, eps1)[1], w2
 
 
 def stability_diagnostics(mu1, mu2, t, z, edge):

@@ -19,7 +19,6 @@ recorded per sample, but not gated.
 import csv
 import json
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +68,6 @@ class ExperimentReport:
     config: dict
     stats: dict
     records: tuple
-    wall_time: float
 
     def __post_init__(self):
         if self.ks_statistic < 0:
@@ -78,7 +76,7 @@ class ExperimentReport:
             raise ValueError("pass flag must match statistic <= threshold")
 
     def to_json_dict(self):
-        """Schema: tag, config echo, ks, pass, stats.  Wall time stays out."""
+        """Schema: tag, config echo, ks, pass, stats."""
         return {
             "tag": self.tag,
             "n_samples": self.n_samples,
@@ -155,7 +153,7 @@ def _config_echo(cfg, **extra):
     return echo
 
 
-def _report(tag, cfg, statistic, threshold, stats, records, wall, extra_echo=None):
+def _report(tag, cfg, statistic, threshold, stats, records, extra_echo=None):
     return ExperimentReport(
         tag=tag,
         n_samples=cfg.n_samples,
@@ -165,13 +163,11 @@ def _report(tag, cfg, statistic, threshold, stats, records, wall, extra_echo=Non
         config=_config_echo(cfg, **(extra_echo or {})),
         stats=stats,
         records=tuple(records),
-        wall_time=wall,
     )
 
 
 def run_tw_experiment(cfg):
     """Rescaled top eigenvalue against the Tracy-Widom beta=2 law."""
-    start = time.perf_counter()
     rep = _checked_edge(cfg.mu1, cfg.mu2, cfg.t)
     ev = tw.TWEvaluator(40)
     n = cfg.ensemble.n
@@ -193,8 +189,7 @@ def run_tw_experiment(cfg):
         "dense_fallbacks": sum(fell_back for _, fell_back in tops),
     }
     records = [{"sample_index": k, "value": float(v)} for k, v in enumerate(xs)]
-    return _report("tw", cfg, ks, cfg.ks_threshold, stats, records,
-                   time.perf_counter() - start)
+    return _report("tw", cfg, ks, cfg.ks_threshold, stats, records)
 
 
 def run_local_law_experiment(cfg):
@@ -211,9 +206,10 @@ def run_local_law_experiment(cfg):
     error is recorded as each record's entry_error and summarised in
     per_size, but not gated.
     """
-    start = time.perf_counter()
     if len(cfg.sizes) < 3:
         raise ValueError("local-law experiment needs at least three sizes")
+    if any(b <= a for a, b in zip(cfg.sizes, cfg.sizes[1:])):
+        raise ValueError("local-law sizes must be strictly increasing")
     edge_rep = _checked_edge(cfg.mu1, cfg.mu2, cfg.t)
     per_size = {}
     records = []
@@ -259,13 +255,11 @@ def run_local_law_experiment(cfg):
     stats = {"e_plus": edge_rep.e_plus, "per_size": {str(n): per_size[n] for n in cfg.sizes},
              "entry_medians": medians, "decay_ratio": ratio}
     return _report("local-law", cfg, ratio, cfg.ks_threshold, stats, records,
-                   time.perf_counter() - start,
                    extra_echo={"sizes": list(cfg.sizes)})
 
 
 def run_rigidity_experiment(cfg):
     """95th percentile of the rescaled classical-location deviations."""
-    start = time.perf_counter()
     n = cfg.ensemble.n
     gammas = eg.classical_locations(cfg.mu1, cfg.mu2, cfg.t, n, cfg.top_k)
     weights = (n ** (2.0 / 3.0)) * np.arange(1, cfg.top_k + 1) ** (1.0 / 3.0)
@@ -281,7 +275,6 @@ def run_rigidity_experiment(cfg):
              "median_r": float(np.median(rs)), "top_k": cfg.top_k}
     records = [{"sample_index": k, "value": float(v)} for k, v in enumerate(rs)]
     return _report("rigidity", cfg, pct, cfg.rigidity_limit, stats, records,
-                   time.perf_counter() - start,
                    extra_echo={"top_k": cfg.top_k, "rigidity_limit": cfg.rigidity_limit})
 
 
@@ -289,7 +282,6 @@ def run_dbm_comparison(cfg, t0=None):
     """Two-sample KS between rescaled top eigenvalues before and after
     a short flow of length t0 = N^(-1/3 + chi), with the unitary shared
     inside each pair."""
-    start = time.perf_counter()
     n = cfg.ensemble.n
     if t0 is None:
         t0 = n ** (-1.0 / 3.0 + cfg.chi)
@@ -322,7 +314,7 @@ def run_dbm_comparison(cfg, t0=None):
     records = [{"sample_index": k, "value": float(a), "value_flowed": float(b)}
                for k, (a, b, _) in enumerate(rows)]
     return _report("dbm", cfg, ks, cfg.ks_threshold, stats, records,
-                   time.perf_counter() - start, extra_echo={"t0": float(t0)})
+                   extra_echo={"t0": float(t0)})
 
 
 def write_report(report, json_path=None, csv_path=None):

@@ -1,9 +1,9 @@
 """Probability measures on the real line and their Stieltjes transforms.
 
-A measure is either a finite set of weighted atoms, a density sampled on a
-grid with quadrature weights, or one of the analytic families semicircle,
-uniform, arcsine.  A point mass is a one-atom measure whose transform keeps
-its own closed form.  The Stieltjes transform convention is
+A measure is either a finite set of weighted atoms or one of the analytic
+families semicircle, uniform, arcsine.  A point mass is a one-atom measure
+whose transform keeps its own closed form.  The Stieltjes transform
+convention is
 
     m_mu(z) = int (x - z)^{-1} dmu(x),
 
@@ -11,7 +11,8 @@ so im m(z) > 0 whenever im z > 0 and m(z) ~ -1/z at infinity.  Analytic
 families use closed forms where available; the arcsine family integrates in
 the angle variable x = c + r cos(theta) to absorb the endpoint singularity.
 
-Measures are immutable after construction and safe to share across workers.
+Measures are immutable after construction, and every parameter, location
+and weight is finite.
 """
 
 import math
@@ -42,28 +43,20 @@ class Measure:
     """Immutable probability measure on the real line.
 
     Construct through the module-level factories (`semicircle`, `uniform`,
-    `arcsine`, `point_mass`, `atoms`, `grid_density`) rather than directly.
+    `arcsine`, `point_mass`, `atoms`) rather than directly.
     """
 
-    def __init__(self, family, params=(), locations=None, weights=None,
-                 nodes=None, values=None, qweights=None):
+    def __init__(self, family, params=(), locations=None, weights=None):
         self.family = family
         self.params = tuple(float(p) for p in params)
+        if not all(map(math.isfinite, self.params)):
+            raise ValueError("%s parameters must be finite, got %r" % (family, self.params))
+        for name, arr in (("locations", locations), ("weights", weights)):
+            if arr is not None and not np.all(np.isfinite(arr)):
+                raise ValueError("%s %s must be finite" % (family, name))
         self._locations = locations
         self._weights = weights
-        self._nodes = nodes
-        self._values = values
-        self._qweights = qweights
         self._support = self._compute_support()
-        if family == "grid":
-            cell = 0.5 * (nodes[1:] - nodes[:-1]) * (values[1:] + values[:-1])
-            cum = np.concatenate([[0.0], np.cumsum(cell)])
-            self._grid_cdf = _readonly(cum / cum[-1])
-            # drop zero-mass nodes so a pole sitting on one cannot produce nan
-            eff = qweights * values
-            keep = eff > 0.0
-            self._eff_locs = _readonly(nodes[keep])
-            self._eff_mass = _readonly(eff[keep] / np.sum(eff[keep]))
 
     def _compute_support(self):
         if self.family == "semicircle":
@@ -73,17 +66,7 @@ class Measure:
         if self.family in ("uniform", "arcsine"):
             a, b = self.params
             return SupportInfo(a, b)
-        if self._locations is not None:
-            return SupportInfo(float(self._locations[0]), float(self._locations[-1]))
-        # grid: trim nodes whose density is negligible relative to the peak
-        vals = self._values
-        cut = 1e-9 * np.max(vals)
-        idx = np.nonzero(vals > cut)[0]
-        if len(idx) == 0:
-            raise ValueError("grid density is identically zero")
-        lo = self._nodes[max(idx[0] - 1, 0)]
-        hi = self._nodes[min(idx[-1] + 1, len(vals) - 1)]
-        return SupportInfo(float(lo), float(hi))
+        return SupportInfo(float(self._locations[0]), float(self._locations[-1]))
 
     def support(self):
         return self._support
@@ -97,9 +80,8 @@ class Measure:
         return self._weights
 
     def __repr__(self):
-        if self.family in ("atoms", "grid"):
-            n = len(self._locations if self.family == "atoms" else self._nodes)
-            return "Measure(%s, n=%d)" % (self.family, n)
+        if self.family == "atoms":
+            return "Measure(atoms, n=%d)" % len(self._locations)
         return "Measure(%s%r)" % (self.family, self.params)
 
 
@@ -145,31 +127,6 @@ def atoms(locations, weights):
                    weights=_readonly(wts[order] / total))
 
 
-def grid_density(nodes, values):
-    """Density sampled on an increasing grid with trapezoid quadrature weights.
-
-    The quadrature mass must land within 10% of 1; it is then normalized so
-    the stored measure has mass exactly 1.
-    """
-    x = np.asarray(nodes, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.shape != v.shape or len(x) < 2:
-        raise ValueError("nodes and values must be equal-length 1d sequences, len >= 2")
-    if np.any(np.diff(x) <= 0):
-        raise ValueError("nodes must be strictly increasing")
-    if np.any(v < 0):
-        raise ValueError("density values must be nonnegative")
-    h = np.diff(x)
-    w = np.zeros_like(x)
-    w[:-1] += 0.5 * h
-    w[1:] += 0.5 * h
-    mass = np.sum(w * v)
-    if not 0.9 <= mass <= 1.1:
-        raise ValueError("quadrature mass %.6g is not within 10%% of 1" % mass)
-    return Measure("grid", (), nodes=_readonly(x), values=_readonly(v / mass),
-                   qweights=_readonly(w))
-
-
 def from_config(tag, params):
     """Build a measure from a string tag and parameter list (config files)."""
     builders = {
@@ -178,7 +135,6 @@ def from_config(tag, params):
         "arcsine": lambda p: arcsine(*p),
         "point_mass": lambda p: point_mass(*p),
         "atoms": lambda p: atoms(p[0], p[1]),
-        "grid": lambda p: grid_density(p[0], p[1]),
     }
     if tag not in builders:
         raise ValueError("unknown measure tag %r (known: %s)" % (tag, sorted(builders)))
@@ -228,7 +184,7 @@ def _pole_sum(mass, locs, z, k):
 def stieltjes(mu, z, k=0):
     """Stieltjes transform m_mu(z) = int (x - z)^{-1} dmu(x) or its k-th derivative.
 
-    k in {0, 1, 2, 3}; the k-th derivative is k! * int (x - z)^{-(k+1)} dmu(x).
+    k in {0, 1, 2}; the k-th derivative is k! * int (x - z)^{-(k+1)} dmu(x).
     Accepts im z > 0 or real z outside the support interval.
     """
     z = complex(z)
@@ -244,8 +200,8 @@ def stieltjes(mu, z, k=0):
     # k = 0 point-mass return ahead of every other check
     if fam == "point_mass" and k == 0:
         return 1.0 / (mu.params[0] - z)
-    if k not in (0, 1, 2, 3):
-        raise ValueError("k must be in {0, 1, 2, 3}")
+    if k not in (0, 1, 2):
+        raise ValueError("k must be in {0, 1, 2}")
     if fam == "point_mass":
         return float(math.factorial(k)) * (mu.params[0] - z) ** (-(k + 1))
     if fam == "semicircle":
@@ -257,9 +213,7 @@ def stieltjes(mu, z, k=0):
             return complex((-w + s) / (2.0 * var))
         if k == 1:
             return complex((-1.0 + w / s) / (2.0 * var))
-        if k == 2:
-            return complex(-2.0 / s ** 3)
-        return complex(6.0 * w / s ** 5)
+        return complex(-2.0 / s ** 3)
     if fam == "uniform":
         a, b = mu.params
         if k == 0:
@@ -270,15 +224,11 @@ def stieltjes(mu, z, k=0):
         za, zb = a - z, b - z
         if k == 1:
             return complex((1.0 / za - 1.0 / zb) / (b - a))
-        if k == 2:
-            return complex((1.0 / za ** 2 - 1.0 / zb ** 2) / (b - a))
-        return complex(2.0 * (1.0 / za ** 3 - 1.0 / zb ** 3) / (b - a))
+        return complex((1.0 / za ** 2 - 1.0 / zb ** 2) / (b - a))
     if fam == "arcsine":
         xs, wt = _arcsine_panels(mu, z)
         return _pole_sum(wt, xs, z, k)
-    if fam == "atoms":
-        return _pole_sum(mu.weights, mu.locations, z, k)
-    return _pole_sum(mu._eff_mass, mu._eff_locs, z, k)
+    return _pole_sum(mu.weights, mu.locations, z, k)
 
 
 def cdf(mu, x):
@@ -297,15 +247,19 @@ def cdf(mu, x):
     if fam == "uniform":
         a, b = mu.params
         return np.clip((x - a) / (b - a), 0.0, 1.0)
-    if fam == "arcsine":
-        a, b = mu.params
-        u = np.clip((2.0 * x - a - b) / (b - a), -1.0, 1.0)
-        return 0.5 + np.arcsin(u) / np.pi
-    return np.interp(x, mu._nodes, mu._grid_cdf, left=0.0, right=1.0)
+    # arcsine
+    a, b = mu.params
+    u = np.clip((2.0 * x - a - b) / (b - a), -1.0, 1.0)
+    return 0.5 + np.arcsin(u) / np.pi
 
 
 def quantiles(mu, n):
-    """Quantiles x_i with CDF(x_i) = (i - 1/2)/n, by bisection to 1e-12 in x."""
+    """Quantiles x_i with CDF(x_i) = (i - 1/2)/n, by bisection.
+
+    The bisection stops once every bracket is at most 1e-12 wide or has no
+    floating-point midpoint strictly inside it; far from the origin one ulp
+    is wider than 1e-12.
+    """
     if not (isinstance(n, numbers.Integral) and n >= 1):
         raise ValueError("n must be a positive integer")
     q = (np.arange(1, n + 1) - 0.5) / n
@@ -313,10 +267,11 @@ def quantiles(mu, n):
     span = max(s.upper - s.lower, 1.0)
     lo = np.full(n, s.lower - 1e-9 * span)
     hi = np.full(n, s.upper + 1e-9 * span)
-    while np.max(hi - lo) > 1e-12:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while np.any((hi - lo > 1e-12) & (lo < mid) & (mid < hi)):
         below = cdf(mu, mid) < q
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 

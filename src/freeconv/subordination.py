@@ -118,8 +118,7 @@ def solve(mu1, mu2, t, z, tol=1e-12, max_iter=100000, omega2_init=None):
                                  iterations=it, converged=res <= tol)
 
 
-def density_sweep(mu1, mu2, t, grid, eta_seq=(1e-3, 5e-4), tol=1e-12,
-                  max_iter=100000):
+def density_sweep(mu1, mu2, t, grid, eta_seq=(1e-3, 5e-4)):
     """Density of mu_t on a grid by Stieltjes inversion.
 
     For each grid point E evaluates im m at E + i eta over eta_seq, fits a
@@ -142,8 +141,7 @@ def density_sweep(mu1, mu2, t, grid, eta_seq=(1e-3, 5e-4), tol=1e-12,
         bad = False
         for k, eta in enumerate(etas):
             try:
-                sol = solve(mu1, mu2, t, complex(e_val, eta), tol=tol, max_iter=max_iter,
-                            omega2_init=warm[k])
+                sol = solve(mu1, mu2, t, complex(e_val, eta), omega2_init=warm[k])
             except (NonConvergenceError, DomainError):
                 bad = True
                 warm[k] = None

@@ -32,6 +32,8 @@ _SEAM_LEFT = -6.7
 # the 1,002-point moments table raises peak RSS by 3 MB in chunks of 64 and
 # by 38 MB in one batch, which is only about 10% faster.
 _CHUNK = 64
+# Length of the truncated integration domain (s, s + _L].
+_L = 14.0
 
 
 def _airy_series(x):
@@ -147,16 +149,14 @@ def airy_ai_prime(x):
 class TWEvaluator:
     """Nystrom discretisation of the Airy-kernel determinant.
 
-    m Gauss-Legendre nodes on (s, s + L]; immutable after construction.
+    m >= 20 Gauss-Legendre nodes on (s, s + 14]; immutable after
+    construction.
     """
 
-    def __init__(self, m=40, L=14.0):
+    def __init__(self, m=40):
         if m < 20:
             raise ValueError("quadrature order m must be >= 20")
-        if L < 10.0:
-            raise ValueError("domain cap L must be >= 10")
         self.m = int(m)
-        self.L = float(L)
         u, w = np.polynomial.legendre.leggauss(self.m)
         self._nodes = u
         self._weights = w
@@ -164,8 +164,8 @@ class TWEvaluator:
 
 def _fredholm_det(ev, s):
     """det(I - K) on (s, s + L] for a 1-D array s, as one stacked slogdet."""
-    x = s[:, None] + ev.L * (1.0 + ev._nodes) / 2.0
-    w = ev._weights * ev.L / 2.0
+    x = s[:, None] + _L * (1.0 + ev._nodes) / 2.0
+    w = ev._weights * _L / 2.0
     ai, aip = _airy_pair(x)
     diag = np.arange(ev.m)
     dx = x[:, :, None] - x[:, None, :]

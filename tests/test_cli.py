@@ -98,6 +98,12 @@ def test_config_errors_exit_2(tmp_path):
     assert run("edge", "--mu2", "semicircle:1") == 2
     assert run("verify-dbm", "--chi", "0.5") == 2
     assert run("verify-local-law", "--sizes", "100,200") == 2
+    assert run("verify-local-law", "--sizes", "1000,500,250") == 2
+    assert run("verify-local-law", "--sizes", "250,250,500") == 2
+    for spec in ("point_mass:nan", "atoms:nan,1", "atoms:0,nan", "uniform:0,inf",
+                 "semicircle:inf"):
+        assert run("edge", "--mu1", spec, "--mu2", "semicircle:1",
+                   "--out-dir", str(tmp_path)) == 2, spec
     assert run("verify-rigidity", "--n", "50", "--top-k", "60") == 2
     assert run("verify-local-law", "--eta-exponent", "40") == 2
     bad = tmp_path / "bad.json"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freeconv import cli
 from freeconv import edge as eg
 from freeconv import measure as ms
 from freeconv import subordination as sub
@@ -152,15 +153,20 @@ def test_cross_method_agreement(tag, t, c):
 
 
 def test_edge_from_xi_on_grid_base_measure():
-    # mu0 = uniform plus uniform tabulated on a grid, then pushed through the
-    # xi route at t = 300^(-1/3); cross-validates against the direct
-    # stability search on the same three-fold system.
+    # mu0 = uniform plus uniform tabulated on a grid and discretised by the
+    # trapezoid rule into atoms, then pushed through the xi route at
+    # t = 300^(-1/3); cross-validates against the direct stability search on
+    # the same three-fold system.
     half = UU_E_PLUS - 5e-4
     nodes = np.linspace(-half, half, 2060)
     rho = sub.density_sweep(
         ms.uniform(-1, 1), ms.uniform(-1, 1), 0.0, nodes, eta_seq=(2e-4, 1e-4)
     )[0]
-    mu0 = ms.grid_density(nodes, np.nan_to_num(rho, nan=0.0))
+    h = np.diff(nodes)
+    trap = np.concatenate([[0.0], 0.5 * h]) + np.concatenate([0.5 * h, [0.0]])
+    eff = trap * np.nan_to_num(rho, nan=0.0)
+    keep = eff > 0.0
+    mu0 = ms.atoms(nodes[keep], eff[keep] / eff[keep].sum())
     e, _ = eg.edge_from_xi(mu0, T300_13)
     assert abs(e - UU_T13_E_PLUS) <= 2e-3
 
@@ -327,6 +333,41 @@ def test_touching_atoms_have_no_square_root_scale():
     two = ms.atoms([-1.0, 1.0], [0.5, 0.5])
     with pytest.raises((eg.FitUnstable, eg.BracketNotFound)):
         eg.find_edge_stability(two, two, 0.0)
+
+
+# find_edge_stability on the seven reference edge cases, frozen bit for bit:
+# (mu1, mu2, t) -> (e_plus, gamma, xi, omega1_edge, omega2_edge).  A change
+# of the edge search that moves any of these by one ulp must say so.
+_EDGE_PINS = {
+    ("semicircle:1", "semicircle:1", 0.0):
+        (2.82842712474619, 0.7067470284066908, None,
+         2.1213203435596424, 2.1213203435596424),
+    ("uniform:-1,1", "uniform:-1,1", 0.0):
+        (1.5429018527568683, 1.7090746398539767, None,
+         1.1066988454078948, 1.1066988454078948),
+    ("uniform:-1,1", "uniform:-1,1", 0.5):
+        (2.1253473531170863, 1.002198625669382, 1.6390746785361905,
+         1.333652182787665, 1.333652182787665),
+    ("arcsine:-1,1", "uniform:-1,1", 0.5):
+        (2.2258941131952943, 1.0132173440033847, 1.7451363812648906,
+         1.4427930344909499, 1.342368221657039),
+    ("atoms:-1,0.25,0,0.5,1,0.25", "point_mass:0", 0.5):
+        (1.9425895520871812, 1.2007858589667935, 1.3840479050972796,
+         1.3840479050972798, 0.8951883940877198),
+    ("uniform:-1,1", "point_mass:0.7", 1.0):
+        (2.9955871493926383, 0.8908987181403392, 2.114213562373095,
+         1.4142135623730951, 1.834592657106511),
+    ("point_mass:0", "point_mass:0", 1.0):
+        (2.0, 1.0, 1.0, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_PINS), ids=["%s+%s@t=%s" % c for c in _EDGE_PINS])
+def test_edge_report_frozen_on_reference_cases(case):
+    spec1, spec2, t = case
+    rep = eg.find_edge_stability(cli.parse_measure("mu1", spec1),
+                                 cli.parse_measure("mu2", spec2), t)
+    assert (rep.e_plus, rep.gamma, rep.xi, rep.omega1_edge, rep.omega2_edge) == _EDGE_PINS[case]
 
 
 def test_edge_report_record_shape():

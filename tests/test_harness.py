@@ -85,7 +85,7 @@ def test_config_validation():
 
 def test_report_flag_must_match_statistic():
     kw = dict(tag="x", n_samples=1, threshold=0.5, config={}, stats={},
-              records=(), wall_time=0.0)
+              records=())
     hz.ExperimentReport(ks_statistic=0.4, passed=True, **kw)
     with pytest.raises(ValueError):
         hz.ExperimentReport(ks_statistic=0.6, passed=True, **kw)
@@ -246,9 +246,12 @@ def test_local_law_flow_time_record_recompute():
 
 
 def test_local_law_needs_three_sizes():
-    cfg = gue_control_config(40, 1, 2, sizes=(100, 200))
-    with pytest.raises(ValueError):
-        hz.run_local_law_experiment(cfg)
+    # the decay ratio reads the largest size over the smallest, so the sizes
+    # must also increase strictly
+    for sizes in [(100, 200), (80, 60, 40), (40, 40, 60)]:
+        cfg = gue_control_config(40, 1, 2, sizes=sizes)
+        with pytest.raises(ValueError):
+            hz.run_local_law_experiment(cfg)
 
 
 def test_local_law_report_structure():

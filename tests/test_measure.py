@@ -89,26 +89,12 @@ def test_atoms_constructor_validates():
         ms.atoms([0.0, 1.0], [0.6, 0.6])
     with pytest.raises(ValueError):
         ms.atoms([0.0, 1.0], [-0.1, 1.1])
+    with pytest.raises(ValueError):
+        ms.atoms([0.0], [math.nan])
+    with pytest.raises(ValueError):
+        ms.atoms([math.inf], [1.0])
     mu = ms.atoms([1.0, -1.0], [0.25, 0.75])
     assert mu.locations[0] == -1.0 and mu.weights[0] == 0.75
-
-
-def test_grid_density_normalizes_and_trims():
-    x = np.linspace(-3.0, 3.0, 2001)
-    v = np.where(np.abs(x) <= 2.0, np.sqrt(np.clip(4.0 - x ** 2, 0.0, None)) / (2.0 * np.pi), 0.0)
-    mu = ms.grid_density(x, v)
-    s = mu.support()
-    assert -2.01 < s.lower < -1.99 and 1.99 < s.upper < 2.01
-    # Stieltjes of the sampled semicircle tracks the closed form away from the axis
-    want = ms.stieltjes(ms.semicircle(1.0), 1j)
-    got = ms.stieltjes(mu, 1j)
-    assert abs(got - want) < 5e-4
-
-
-def test_grid_density_rejects_bad_mass():
-    x = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(ValueError):
-        ms.grid_density(x, np.full_like(x, 3.0))
 
 
 def test_quantiles_uniform_and_point_mass():
@@ -116,6 +102,12 @@ def test_quantiles_uniform_and_point_mass():
     np.testing.assert_allclose(ms.quantiles(ms.uniform(-1.0, 1.0), 4),
                                [-0.75, -0.25, 0.25, 0.75], atol=1e-11)
     np.testing.assert_allclose(ms.quantiles(ms.point_mass(0.7), 3), [0.7, 0.7, 0.7], atol=1e-11)
+
+
+def test_quantiles_far_from_origin():
+    # one ulp near 9000 is 1.8e-12, wider than the 1e-12 bracket tolerance
+    q = ms.quantiles(ms.uniform(9000.0, 9001.0), 3)
+    np.testing.assert_allclose(q, 9000.0 + np.array([1.0, 3.0, 5.0]) / 6.0, rtol=0, atol=1e-11)
 
 
 def test_quantiles_semicircle_frozen():
@@ -160,12 +152,10 @@ def test_decay_at_infinity(fam):
 
 def test_derivative_matches_finite_difference():
     h = 1e-5
-    x = np.linspace(-1.0, 1.0, 201)
     for mu in [ms.semicircle(1.3, -0.4), ms.uniform(-1.0, 2.0), ms.arcsine(-1.0, 1.0),
-               ms.atoms([-1.0, 1.0], [0.4, 0.6]), ms.point_mass(0.3),
-               ms.grid_density(x, 0.75 * (1.0 - x ** 2))]:
+               ms.atoms([-1.0, 1.0], [0.4, 0.6]), ms.point_mass(0.3)]:
         for z in [0.3 + 0.5j, -1.0 + 0.2j, 2.0 + 1.0j]:
-            for k in (1, 2, 3):
+            for k in (1, 2):
                 fd = (ms.stieltjes(mu, z + h, k - 1) - ms.stieltjes(mu, z - h, k - 1)) / (2 * h)
                 assert abs(fd - ms.stieltjes(mu, z, k)) / abs(fd) < 1e-6
 

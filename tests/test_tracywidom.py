@@ -114,8 +114,6 @@ def test_airy_array_call_matches_oracle():
 def test_evaluator_validation():
     with pytest.raises(ValueError):
         tw.TWEvaluator(19)
-    with pytest.raises(ValueError):
-        tw.TWEvaluator(40, 9.0)
 
 
 def test_cdf_tail_limits(ev):
