@@ -19,9 +19,13 @@ The edge scale gamma is normalised through the density profile
 
     rho(E_+ - kappa) ~ (gamma^{3/2} / pi) sqrt(kappa),
 
-which makes gamma = 1 for a standard semicircle on [-2, 2].  For t > 0 the
-same gamma has the closed form (-t^3 m''_{mu0}(xi) / 2)^{-1/3}, with xi the
-rightmost solution of m'_{mu0}(xi) = 1/t and mu0 the t = 0 base measure.
+which makes gamma = 1 for a standard semicircle on [-2, 2].  Near the root w2c,
+E(w2) - E_+ ~ -S'/(2 F1') (w2 - w2c)^2 with S' = dS/dw2, and the convolution's
+transform is m_{mu2}(w2), so gamma = (m'_{mu2}(w2c) sqrt(2 F1'(w1c)/|S'|))^{2/3}.
+The t = 0 shift case (one factor a point mass) has no root; gamma is then the
+other factor's own coefficient.  With a point-mass factor at t > 0,
+`edge_from_xi` gives gamma independently as (-t^3 m''_{mu0}(xi) / 2)^{-1/3},
+with xi the rightmost solution of m'_{mu0}(xi) = 1/t, mu0 the other factor.
 """
 
 import math
@@ -33,8 +37,7 @@ import numpy as np
 from . import measure as ms
 from .subordination import DomainError, density_sweep, f_transform, solve
 
-_FIT_KAPPAS = (1e-2, 5e-3, 2.5e-3)
-_FIT_ETAS = (2e-4, 1e-4)
+_DENSITY_ETAS = (2e-4, 1e-4)
 
 
 class BracketNotFound(RuntimeError):
@@ -42,7 +45,7 @@ class BracketNotFound(RuntimeError):
 
 
 class FitUnstable(RuntimeError):
-    """Square-root density fit ratios vary too much to be trusted."""
+    """A shift case without a square-root edge, or failed density solves."""
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,15 @@ def _real_f(mu, t, x, k=0):
     return f_transform(mu, t, complex(x, 0.0), k).real
 
 
-def _point_mass_location(mu):
-    """The atom c when mu is the point mass at c, else None."""
-    s = mu.support()
-    return s.lower if s.lower == s.upper else None
+def _shift_case(mu1, mu2, t):
+    """(c, other) when t = 0 and one factor is the point mass at c, so that the
+    convolution is `other` translated by c; else None."""
+    if t == 0.0:
+        for atom, other in ((mu2, mu1), (mu1, mu2)):
+            s = atom.support()
+            if s.lower == s.upper:
+                return s.lower, other
+    return None
 
 
 def _newton_root(f, lo, hi):
@@ -161,48 +169,45 @@ def _stability_at(mu1, mu2, t, w2, eps1):
     return (f1p - 1.0) * (f2p - 1.0) - 1.0, w1, f1p, f2p
 
 
+def _ds_dw2(mu1, mu2, t, w1, w2, f1p, f2p):
+    """dS/dw2 along the matched curve F1(w1) = F2(w2), where dw1/dw2 = F2'/F1'."""
+    return (_real_f(mu1, t, w1, 2) * (f2p / f1p) * (f2p - 1.0)
+            + (f1p - 1.0) * _real_f(mu2, t, w2, 2))
+
+
 def _edge_core(mu1, mu2, t):
     """(e_plus, omega1, omega2, residual) for the upper edge.
 
     The shift case (t = 0 with a point-mass factor) is exact: the edge is the
     translated support endpoint and the stability function never vanishes, so
-    it is resolved directly rather than through the root search.
+    it is resolved directly rather than through the root search.  Otherwise a
+    root whose |S| exceeds 1e-9 raises BracketNotFound.
     """
-    s1, s2 = mu1.support(), mu2.support()
-    if t == 0.0:
-        c = _point_mass_location(mu2)
-        if c is not None:
-            other, o_sup = mu1, s1
-        else:
-            c = _point_mass_location(mu1)
-            other, o_sup = mu2, s2
-        if c is not None:
-            e_plus = o_sup.upper + c
-            w_o = o_sup.upper
-            # F of the continuous factor one ulp-scale beyond its endpoint
-            # stands in for the boundary limit.
-            f_o = _real_f(other, 0.0, w_o + 1e-9 * max(1.0, abs(w_o)))
-            if other is mu1:
-                return e_plus, w_o, f_o + c, 0.0
-            return e_plus, f_o + c, w_o, 0.0
+    shift = _shift_case(mu1, mu2, t)
+    if shift is not None:
+        c, other = shift
+        w_o = other.support().upper
+        # F of the continuous factor one ulp-scale beyond its endpoint
+        # stands in for the boundary limit.
+        f_o = _real_f(other, 0.0, w_o + 1e-9 * max(1.0, abs(w_o)))
+        if other is mu1:
+            return w_o + c, w_o, f_o + c, 0.0
+        return w_o + c, f_o + c, w_o, 0.0
 
-    eps1 = 1e-9 * max(1.0, abs(s1.upper))
+    eps1 = 1e-9 * max(1.0, abs(mu1.support().upper))
 
     def minus_s(w2):
         ev = _stability_at(mu1, mu2, t, w2, eps1)
         if ev is None:
             return None
         s_val, w1, f1p, f2p = ev
-        # dS/dw2 with dw1/dw2 = F2'/F1' along the matched curve
-        ds = (_real_f(mu1, t, w1, 2) * (f2p / f1p) * (f2p - 1.0)
-              + (f1p - 1.0) * _real_f(mu2, t, w2, 2))
-        return -s_val, -ds
+        return -s_val, -_ds_dw2(mu1, mu2, t, w1, w2, f1p, f2p)
 
     def is_hi(w2):
         ev = _stability_at(mu1, mu2, t, w2, eps1)
         return ev is not None and ev[0] < 0.0
 
-    floor = s2.upper
+    floor = mu2.support().upper
     # march up from the support to a point with S < 0, then march the gap to
     # the support down until the sign flips or the partner inversion fails
     # (both mean the band has been entered)
@@ -211,7 +216,7 @@ def _edge_core(mu1, mu2, t):
     w2 = _newton_root(minus_s, lo, hi)
     ev = _stability_at(mu1, mu2, t, w2, eps1)
     s_val = math.inf if ev is None else ev[0]
-    if abs(s_val) > 1e-3:
+    if abs(s_val) > 1e-9:
         raise BracketNotFound(
             "stability function does not vanish above the support "
             "(residual %.3g); the edge is not of square-root type" % abs(s_val)
@@ -224,11 +229,10 @@ def _edge_core(mu1, mu2, t):
 def find_edge_stability(mu1, mu2, t):
     """Largest real zero of the stability function, packaged with the scale.
 
-    gamma comes from the square-root density fit at t = 0 and from the xi
-    closed form at t > 0 whenever one factor is a point mass delta_c: the
-    convolution is then the other factor convolved with sc(t), translated
-    by c, and gamma does not change under translation.  Otherwise the
-    density fit is used at t > 0 as well.
+    gamma is the closed form of the module docstring; a root where it is not
+    finite (dS/dw2 >= 0) raises BracketNotFound.  In the shift case gamma is
+    variance^{-1/2} for a semicircle, and any other family, having no
+    square-root edge, raises FitUnstable.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
@@ -239,14 +243,21 @@ def find_edge_stability(mu1, mu2, t):
         m_edge = ms.stieltjes(mu1, complex(w1, 0.0)).real
         xi = e_plus + t * m_edge
 
-    if t == 0.0:
-        gamma = gamma_from_density_fit(mu1, mu2, t, e_plus)
-    elif _point_mass_location(mu2) is not None:
-        _, gamma = edge_from_xi(mu1, t)
-    elif _point_mass_location(mu1) is not None:
-        _, gamma = edge_from_xi(mu2, t)
+    shift = _shift_case(mu1, mu2, t)
+    if shift is None:
+        f1p, f2p = _real_f(mu1, t, w1, 1), _real_f(mu2, t, w2, 1)
+        ds = _ds_dw2(mu1, mu2, t, w1, w2, f1p, f2p)
+        m2p = ms.stieltjes(mu2, complex(w2, 0.0), 1).real
+        gamma = math.inf
+        if ds < 0.0:
+            gamma = (m2p * math.sqrt(2.0 * f1p / -ds)) ** (2.0 / 3.0)
+        if not math.isfinite(gamma):
+            raise BracketNotFound("no square-root scale at the stability root "
+                                  "(dS/dw2 = %.3g)" % ds)
+    elif shift[1].family == "semicircle":
+        gamma = shift[1].params[0] ** -0.5
     else:
-        gamma = gamma_from_density_fit(mu1, mu2, t, e_plus)
+        raise FitUnstable("%r has no square-root upper edge" % (shift[1],))
 
     return EdgeReport(
         e_plus=float(e_plus),
@@ -288,33 +299,14 @@ def solve_xi(mu0, t):
 
 
 def edge_from_xi(mu0, t):
-    """(e_plus, gamma) of mu0 convolved with a semicircle of variance t."""
+    """(e_plus, gamma) of mu0 convolved with a semicircle of variance t, by the
+    xi route: the oracle for find_edge_stability with a point-mass factor."""
     xi = solve_xi(mu0, t)
     m = ms.stieltjes(mu0, complex(xi, 0.0)).real
     mpp = ms.stieltjes(mu0, complex(xi, 0.0), 2).real
     e_plus = xi - t * m
     gamma = (-(t ** 3) * 0.5 * mpp) ** (-1.0 / 3.0)
     return float(e_plus), float(gamma)
-
-
-def gamma_from_density_fit(mu1, mu2, t, e_plus):
-    """Edge scale from the square-root density profile just inside the edge.
-
-    Fits rho(e_plus - kappa) = c sqrt(kappa) through the origin at three
-    kappa values and returns (pi c)^{2/3}.
-    """
-    kappas = np.array(_FIT_KAPPAS)
-    rho, _, _ = density_sweep(mu1, mu2, t, e_plus - kappas, eta_seq=_FIT_ETAS)
-    if not np.all(np.isfinite(rho)) or np.any(rho <= 0.0):
-        raise FitUnstable("density evaluations near the edge failed or vanished")
-    ratios = rho / np.sqrt(kappas)
-    spread = (ratios.max() - ratios.min()) / ratios.min()
-    if spread > 0.20:
-        raise FitUnstable(
-            "rho/sqrt(kappa) varies by %.0f%% across the fit points" % (100 * spread)
-        )
-    c = float(np.sum(rho * np.sqrt(kappas)) / np.sum(kappas))
-    return (math.pi * c) ** (2.0 / 3.0)
 
 
 def classical_locations(mu1, mu2, t, n, top_k, grid_points=None):
@@ -337,7 +329,7 @@ def classical_locations(mu1, mu2, t, n, top_k, grid_points=None):
         grid_points = int(max(800, min(6000, 12 * top_k)))
     for _ in range(9):
         kap = w * np.linspace(0.0, 1.0, grid_points) ** 2
-        rho, _, _ = density_sweep(mu1, mu2, t, (e_plus - kap)[::-1], eta_seq=_FIT_ETAS)
+        rho, _, _ = density_sweep(mu1, mu2, t, (e_plus - kap)[::-1], eta_seq=_DENSITY_ETAS)
         failed = int(np.count_nonzero(~np.isfinite(rho)))
         if failed:
             raise FitUnstable("density solve failed at %d of %d points below the edge"

@@ -124,15 +124,6 @@ def tw_cdf_extended(ev, s):
     return float(f) if np.ndim(s) == 0 else f
 
 
-def _checked_edge(mu1, mu2, t):
-    """Edge report, with the stability residual verified before sampling."""
-    rep = eg.find_edge_stability(mu1, mu2, t)
-    if rep.residual > 1e-9:
-        raise eg.BracketNotFound("edge stability residual %.3e exceeds 1e-9"
-                                 % rep.residual)
-    return rep
-
-
 def _measure_echo(mu):
     return {"family": mu.family, "params": list(mu.params)}
 
@@ -168,7 +159,7 @@ def _report(tag, cfg, statistic, threshold, stats, records, extra_echo=None):
 
 def run_tw_experiment(cfg):
     """Rescaled top eigenvalue against the Tracy-Widom beta=2 law."""
-    rep = _checked_edge(cfg.mu1, cfg.mu2, cfg.t)
+    rep = eg.find_edge_stability(cfg.mu1, cfg.mu2, cfg.t)
     ev = tw.TWEvaluator(40)
     n = cfg.ensemble.n
     scale = rep.gamma * n ** (2.0 / 3.0)
@@ -210,7 +201,7 @@ def run_local_law_experiment(cfg):
         raise ValueError("local-law experiment needs at least three sizes")
     if any(b <= a for a, b in zip(cfg.sizes, cfg.sizes[1:])):
         raise ValueError("local-law sizes must be strictly increasing")
-    edge_rep = _checked_edge(cfg.mu1, cfg.mu2, cfg.t)
+    edge_rep = eg.find_edge_stability(cfg.mu1, cfg.mu2, cfg.t)
     per_size = {}
     records = []
     medians = []
@@ -285,8 +276,8 @@ def run_dbm_comparison(cfg, t0=None):
     n = cfg.ensemble.n
     if t0 is None:
         t0 = n ** (-1.0 / 3.0 + cfg.chi)
-    base = _checked_edge(cfg.mu1, cfg.mu2, cfg.t)
-    flowed = _checked_edge(cfg.mu1, cfg.mu2, cfg.t + t0) if t0 > 0 else base
+    base = eg.find_edge_stability(cfg.mu1, cfg.mu2, cfg.t)
+    flowed = eg.find_edge_stability(cfg.mu1, cfg.mu2, cfg.t + t0) if t0 > 0 else base
     pow23 = n ** (2.0 / 3.0)
 
     seed = cfg.ensemble.seed

@@ -115,7 +115,7 @@ def test_config_errors_exit_2(tmp_path):
 
 
 def test_numerical_failure_exit_3(tmp_path):
-    # two point masses at t=0 have an atomic limit with no usable edge fit
+    # two point masses at t=0 are a shift case without a square-root edge
     assert run("edge", "--mu1", "point_mass:0", "--mu2", "point_mass:0",
                "--out-dir", str(tmp_path)) == 3
 

@@ -64,17 +64,27 @@ def test_sc_sc_edge_report():
     assert rep.residual <= 1e-9
     assert rep.xi is None
     assert rep.method == "stability_root"
-    assert abs(rep.gamma - 1.0 / ROOT2) < 1e-3
+    assert rep.gamma == pytest.approx(1.0 / ROOT2, rel=1e-12)
     assert rep.scaled_edge == pytest.approx(rep.gamma * rep.e_plus)
 
 
 def test_point_mass_shift_is_exact():
     rep = eg.find_edge_stability(ms.semicircle(1.0), ms.point_mass(0.0), 0.0)
     assert rep.e_plus == pytest.approx(2.0, abs=1e-12)
-    assert abs(rep.gamma - 1.0) < 1e-3
+    assert rep.gamma == 1.0
     rep = eg.find_edge_stability(ms.point_mass(0.5), ms.semicircle(1.0), 0.0)
     assert rep.e_plus == pytest.approx(2.5, abs=1e-12)
     assert rep.residual == 0.0
+
+
+def test_shift_case_gamma_is_the_factor_own_coefficient():
+    # at t = 0 a point-mass factor only translates the other one, so gamma is
+    # that factor's square-root coefficient, variance^(-1/2) for a semicircle
+    rep = eg.find_edge_stability(ms.semicircle(4.0), ms.point_mass(0.3), 0.0)
+    assert rep.gamma == 0.5
+    for mu in (ms.uniform(-1.0, 1.0), ms.arcsine(-1.0, 1.0)):
+        with pytest.raises(eg.FitUnstable):
+            eg.find_edge_stability(mu, ms.point_mass(0.3), 0.0)
 
 
 def test_uniform_uniform_edge():
@@ -83,9 +93,7 @@ def test_uniform_uniform_edge():
     assert abs(rep.omega1_edge - UU_OMEGA_STAR) < 1e-8
     assert abs(rep.omega1_edge - rep.omega2_edge) < 1e-9
     assert rep.residual <= 1e-9
-    # the sqrt fit window is fixed at kappa <= 1e-2, so gamma carries the
-    # O(kappa) truncation bias of the fit (about 0.7% on this system)
-    assert abs(rep.gamma - UU_GAMMA0) < 0.015
+    assert rep.gamma == pytest.approx(UU_GAMMA0, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -99,7 +107,7 @@ def test_uniform_uniform_positive_time_edge(t, e_plus, xi, gamma):
     rep = uu_edge(t)
     assert abs(rep.e_plus - e_plus) < 1e-9
     assert rep.xi is not None and abs(rep.xi - xi) < 1e-8
-    assert abs(rep.gamma - gamma) < 5e-3
+    assert rep.gamma == pytest.approx(gamma, rel=1e-12)
     assert rep.omega1_edge > 1.0 and rep.omega2_edge > 1.0
     assert rep.residual <= 1e-9
 
@@ -148,7 +156,7 @@ def test_cross_method_agreement(tag, t, c):
     e_xi, g_xi = eg.edge_from_xi(mu0, t)
     rep = eg.find_edge_stability(mu0, ms.point_mass(c), t)
     assert abs(rep.e_plus - (e_xi + c)) <= 1e-6
-    assert rep.gamma == g_xi
+    assert rep.gamma == pytest.approx(g_xi, rel=1e-12)
     assert rep.xi is not None and abs(rep.xi - (eg.solve_xi(mu0, t) + c)) < 1e-7
 
 
@@ -169,11 +177,6 @@ def test_edge_from_xi_on_grid_base_measure():
     mu0 = ms.atoms(nodes[keep], eff[keep] / eff[keep].sum())
     e, _ = eg.edge_from_xi(mu0, T300_13)
     assert abs(e - UU_T13_E_PLUS) <= 2e-3
-
-
-def test_gamma_fit_rejects_interior_point():
-    with pytest.raises(eg.FitUnstable):
-        eg.gamma_from_density_fit(ms.semicircle(1.0), ms.semicircle(1.0), 0.0, 2.0)
 
 
 def test_classical_locations_semicircle():
@@ -328,10 +331,11 @@ def test_im_m_profile_both_sides():
 
 def test_touching_atoms_have_no_square_root_scale():
     # two symmetric atoms against themselves produce an arcsine-type hard
-    # edge; the stability root degenerates onto the support endpoint and the
-    # sqrt density fit must refuse to produce a scale there
+    # edge; the stability root degenerates onto the partner inversion's floor
+    # next to the support endpoint, where |S| stays at about 4e-9, and the
+    # closed form would return a scale near 6e11
     two = ms.atoms([-1.0, 1.0], [0.5, 0.5])
-    with pytest.raises((eg.FitUnstable, eg.BracketNotFound)):
+    with pytest.raises(eg.BracketNotFound):
         eg.find_edge_stability(two, two, 0.0)
 
 
@@ -340,22 +344,22 @@ def test_touching_atoms_have_no_square_root_scale():
 # of the edge search that moves any of these by one ulp must say so.
 _EDGE_PINS = {
     ("semicircle:1", "semicircle:1", 0.0):
-        (2.82842712474619, 0.7067470284066908, None,
+        (2.82842712474619, 0.7071067811865474, None,
          2.1213203435596424, 2.1213203435596424),
     ("uniform:-1,1", "uniform:-1,1", 0.0):
-        (1.5429018527568683, 1.7090746398539767, None,
+        (1.5429018527568683, 1.7212332377624653, None,
          1.1066988454078948, 1.1066988454078948),
     ("uniform:-1,1", "uniform:-1,1", 0.5):
-        (2.1253473531170863, 1.002198625669382, 1.6390746785361905,
+        (2.1253473531170863, 1.0034449511590173, 1.6390746785361905,
          1.333652182787665, 1.333652182787665),
     ("arcsine:-1,1", "uniform:-1,1", 0.5):
-        (2.2258941131952943, 1.0132173440033847, 1.7451363812648906,
+        (2.2258941131952943, 1.0146693375991567, 1.7451363812648906,
          1.4427930344909499, 1.342368221657039),
     ("atoms:-1,0.25,0,0.5,1,0.25", "point_mass:0", 0.5):
-        (1.9425895520871812, 1.2007858589667935, 1.3840479050972796,
+        (1.9425895520871812, 1.2007858589667937, 1.3840479050972796,
          1.3840479050972798, 0.8951883940877198),
     ("uniform:-1,1", "point_mass:0.7", 1.0):
-        (2.9955871493926383, 0.8908987181403392, 2.114213562373095,
+        (2.9955871493926383, 0.8908987181403393, 2.114213562373095,
          1.4142135623730951, 1.834592657106511),
     ("point_mass:0", "point_mass:0", 1.0):
         (2.0, 1.0, 1.0, 1.0, 1.0),
@@ -441,8 +445,8 @@ def test_edge_search_stieltjes_call_budget(monkeypatch):
 
 
 def test_edge_report_stieltjes_call_budget(monkeypatch):
-    # the whole report, density-fit gamma included: 8286 calls while the
-    # fixed point stalled next to the edge, about 1040 with its Newton step
+    # the whole report: 815 calls with a density-fit gamma, of which the
+    # edge search took 541; 552 with the closed-form gamma
     calls = [0]
     stieltjes = ms.stieltjes
 
@@ -452,7 +456,7 @@ def test_edge_report_stieltjes_call_budget(monkeypatch):
 
     monkeypatch.setattr(ms, "stieltjes", counted)
     eg.find_edge_stability(ms.uniform(-1.0, 1.0), ms.uniform(-1.0, 1.0), 0.0)
-    assert 0 < calls[0] < 2000
+    assert 0 < calls[0] < 700
 
 
 @settings(max_examples=12, deadline=None)
@@ -468,6 +472,32 @@ def test_atomic_cross_method_property(locs, t):
     e_xi, g_xi = eg.edge_from_xi(mu0, t)
     rep = eg.find_edge_stability(mu0, ms.point_mass(0.0), t)
     assert abs(rep.e_plus - e_xi) <= 1e-8
-    assert abs(rep.gamma - g_xi) <= 1e-9
+    assert rep.gamma == pytest.approx(g_xi, rel=1e-12)
     assert rep.omega1_edge > max(locs)
     assert rep.residual <= 1e-9
+
+
+_AFFINE_BASES = {
+    "uniform": lambda s, c: ms.uniform(c - s, c + s),
+    "arcsine": lambda s, c: ms.arcsine(c - s, c + s),
+    "semicircle": lambda s, c: ms.semicircle(s * s, c),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    fam1=st.sampled_from(sorted(_AFFINE_BASES)),
+    fam2=st.sampled_from(sorted(_AFFINE_BASES)),
+    scale=st.floats(min_value=0.5, max_value=2.0),
+    c1=st.floats(min_value=-1.0, max_value=1.0),
+    c2=st.floats(min_value=-1.0, max_value=1.0),
+    t=st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=1.0)),
+)
+def test_gamma_affine_covariance_property(fam1, fam2, scale, c1, c2, t):
+    # x -> scale x + c maps mu1 (+) mu2 (+) sc(t) onto the convolution of the
+    # mapped factors with sc(scale^2 t), and the edge scale goes to gamma / scale
+    base = eg.find_edge_stability(_AFFINE_BASES[fam1](1.0, 0.0),
+                                  _AFFINE_BASES[fam2](1.0, 0.0), t)
+    mapped = eg.find_edge_stability(_AFFINE_BASES[fam1](scale, c1),
+                                    _AFFINE_BASES[fam2](scale, c2), scale * scale * t)
+    assert mapped.gamma == pytest.approx(base.gamma / scale, rel=1e-12)
