@@ -42,6 +42,8 @@ def _cast_int(key, value):
 def _cast_float(key, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError("%s must be a number, got %r" % (key, value))
+    if not math.isfinite(value):
+        raise ConfigError("%s must be finite, got %r" % (key, value))
     return float(value)
 
 

@@ -7,22 +7,21 @@ convention is
 
     m_mu(z) = int (x - z)^{-1} dmu(x),
 
-so im m(z) > 0 whenever im z > 0 and m(z) ~ -1/z at infinity.  Analytic
-families use closed forms where available; the arcsine family integrates in
-the angle variable x = c + r cos(theta) to absorb the endpoint singularity.
+so im m(z) > 0 whenever im z > 0 and m(z) ~ -1/z at infinity.  Every
+analytic family, and the point mass, has a closed-form transform; only the
+atoms family sums over its atoms.
 
 Measures are immutable after construction, and every parameter, location
 and weight is finite.
 """
 
+import cmath
 import math
 import numbers
 
 from dataclasses import dataclass
 
 import numpy as np
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 @dataclass(frozen=True)
@@ -141,39 +140,6 @@ def from_config(tag, params):
     return builders[tag](params)
 
 
-def _arcsine_panels(mu, z):
-    """Gauss-Legendre nodes/weights in theta for the arcsine integral.
-
-    Splits [0, pi] at the angle facing re z and refines dyadically toward it
-    when z sits close to the support, so the pole never degrades the panels.
-    """
-    a, b = mu.params
-    c, r = 0.5 * (a + b), 0.5 * (b - a)
-    breaks = {0.0, np.pi}
-    dist = abs(z.imag) + max(0.0, a - z.real, z.real - b)
-    if dist < 0.5 * r:
-        u = min(1.0, max(-1.0, (z.real - c) / r))
-        theta0 = float(np.arccos(u))
-        breaks.add(theta0)
-        # theta-distance at which |x(theta) - z| ~ dist: linear in the interior,
-        # quadratic when the pole faces an endpoint
-        d = max(dist, 1e-12)
-        scale = max(d / (r * abs(np.sin(theta0)) + np.sqrt(0.5 * r * d)), 1e-9)
-        step = np.pi
-        while step > scale:
-            step *= 0.5
-            for tb in (theta0 - step, theta0 + step):
-                if 0.0 < tb < np.pi:
-                    breaks.add(tb)
-    pts = np.array(sorted(breaks))
-    lo, hi = pts[:-1], pts[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    th = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    wt = (half[:, None] * _GL_WEIGHTS[None, :]).ravel() / np.pi
-    return c + r * np.cos(th), wt
-
-
 def _pole_sum(mass, locs, z, k):
     """k-th derivative of sum_j mass_j / (locs_j - z)."""
     if k == 0:
@@ -185,7 +151,8 @@ def stieltjes(mu, z, k=0):
     """Stieltjes transform m_mu(z) = int (x - z)^{-1} dmu(x) or its k-th derivative.
 
     k in {0, 1, 2}; the k-th derivative is k! * int (x - z)^{-(k+1)} dmu(x).
-    Accepts im z > 0 or real z outside the support interval.
+    Accepts im z > 0 or real z outside the support interval.  Every family
+    but `atoms` is evaluated in closed form.
     """
     z = complex(z)
     if z.imag < 0:
@@ -226,8 +193,20 @@ def stieltjes(mu, z, k=0):
             return complex((1.0 / za - 1.0 / zb) / (b - a))
         return complex((1.0 / za ** 2 - 1.0 / zb ** 2) / (b - a))
     if fam == "arcsine":
-        xs, wt = _arcsine_panels(mu, z)
-        return _pole_sum(wt, xs, z, k)
+        # m = -1/s with s = sqrt((z-a)(z-b)) as a product of principal roots,
+        # so s ~ z at infinity and s is real (of either sign) off [a, b]
+        a, b = mu.params
+        s = cmath.sqrt(z - a) * cmath.sqrt(z - b)
+        if k == 0:
+            return -1.0 / s
+        # m' = w/s^3 and m'' = (s^2 - 3w^2)/s^5 with w = z - (a+b)/2; the
+        # products round as s ** 3 and s ** 5 do, but a far z overflows them
+        # to inf where ** would raise OverflowError
+        w = z - 0.5 * (a + b)
+        s2 = s * s
+        if k == 1:
+            return w / (s * s2)
+        return (s2 - 3.0 * w * w) / (s * (s2 * s2))
     return _pole_sum(mu.weights, mu.locations, z, k)
 
 

@@ -15,6 +15,8 @@ and the density follows by Stieltjes inversion with linear eta-extrapolation.
 Real z beyond the upper edge is solved in `edge.omegas_beyond_edge`.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,11 +103,13 @@ def solve(mu1, mu2, t, z, tol=1e-12, max_iter=100000, omega2_init=None):
     `omega2_init` warm-starts the iteration, e.g. from the previous point of
     a contour sweep.
     """
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise DomainError("t must be finite and nonnegative, got %r" % (t,))
     if tol < 1e-14:
         raise DomainError("tol below 1e-14 is not resolvable in double precision")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError("z must be finite, got %r" % (z,))
     if not z.imag > 0:
         raise DomainError("im z must be > 0; real z beyond the edge is solved by "
                           "edge.omegas_beyond_edge")
@@ -132,28 +136,26 @@ def density_sweep(mu1, mu2, t, grid, eta_seq=(1e-3, 5e-4)):
     etas = np.asarray(eta_seq, dtype=float)
     if len(etas) < 2 or np.any(etas <= 0) or np.any(np.diff(etas) >= 0):
         raise ValueError("eta_seq must be a decreasing positive sequence, len >= 2")
-    rho = np.empty(len(grid))
+    ims = np.full((len(grid), len(etas)), np.nan)
     resid = np.zeros(len(grid))
     iters = np.zeros(len(grid), dtype=int)
     warm = [None] * len(etas)
     for j, e_val in enumerate(grid):
-        ims = np.empty(len(etas))
-        bad = False
         for k, eta in enumerate(etas):
             try:
                 sol = solve(mu1, mu2, t, complex(e_val, eta), omega2_init=warm[k])
             except (NonConvergenceError, DomainError):
-                bad = True
                 warm[k] = None
                 continue
             warm[k] = sol.omega2
-            ims[k] = sol.m.imag
+            ims[j, k] = sol.m.imag
             resid[j] = max(resid[j], sol.residual)
             iters[j] += sol.iterations
-        if bad:
-            rho[j] = np.nan
-            continue
-        intercept = np.polyfit(etas, ims, 1)[1]
-        rho[j] = max(intercept / np.pi, 0.0)
+    # least-squares intercept of every row as one weighted sum of its values.
+    # In units of the last eta a halving pair gets the weights -1, 2 exactly,
+    # so its sum is correctly rounded; a row with a failed solve keeps its nan.
+    u = etas / etas[-1]
+    uc = u - u.mean()
+    weights = 1.0 / len(u) - u.mean() * uc / np.sum(uc * uc)
+    rho = np.maximum(np.sum(ims * weights, axis=1) / np.pi, 0.0)
     return rho, resid, iters
-

@@ -106,7 +106,17 @@ def test_config_errors_exit_2(tmp_path):
                    "--out-dir", str(tmp_path)) == 2, spec
     assert run("verify-rigidity", "--n", "50", "--top-k", "60") == 2
     assert run("verify-local-law", "--eta-exponent", "40") == 2
+    # non-finite floats stop at the config layer, before any solve
+    uu = ("--mu1", "uniform:-1,1", "--mu2", "uniform:-1,1", "--out-dir", str(tmp_path))
+    for value in ("nan", "inf"):
+        assert run("convolve", *uu, "--t", value) == 2, value
+        assert run("edge", *uu, "--t", value) == 2, value
+    assert run("verify-tw", "--t", "nan") == 2
+    assert run("convolve", *uu, "--grid-lo", "nan", "--grid-points", "4") == 2
+    assert run("convolve", *uu, "--grid-hi", "inf", "--grid-points", "4") == 2
     bad = tmp_path / "bad.json"
+    bad.write_text('{"t": NaN}')
+    assert run("edge", *uu, "--config", str(bad)) == 2
     bad.write_text('{"n_samples": 10, "bogus": 1}')
     assert run("verify-tw", "--config", str(bad)) == 2
     mismatched = tmp_path / "cmd.json"

@@ -352,9 +352,11 @@ _EDGE_PINS = {
     ("uniform:-1,1", "uniform:-1,1", 0.5):
         (2.1253473531170863, 1.0034449511590173, 1.6390746785361905,
          1.333652182787665, 1.333652182787665),
+    # e_plus, xi and both omegas are the correctly rounded 40-digit mpmath
+    # solution of the edge system with the closed-form transforms
     ("arcsine:-1,1", "uniform:-1,1", 0.5):
-        (2.2258941131952943, 1.0146693375991567, 1.7451363812648906,
-         1.4427930344909499, 1.342368221657039),
+        (2.2258941131952947, 1.0146693375991567, 1.7451363812648912,
+         1.44279303449095, 1.3423682216570392),
     ("atoms:-1,0.25,0,0.5,1,0.25", "point_mass:0", 0.5):
         (1.9425895520871812, 1.2007858589667937, 1.3840479050972796,
          1.3840479050972798, 0.8951883940877198),

@@ -173,6 +173,30 @@ def test_query_validation():
         sub.solve(mu, mu, 0.0, 1j, tol=1e-16)
 
 
+def test_nonfinite_query_rejected_before_iterating(monkeypatch):
+    # a nan real part passes the im z > 0 check, and a nan t the t < 0 one;
+    # both must fail before the first transform evaluation, not after
+    # max_iter iterations on nan
+    calls = []
+    real_stieltjes = sub.ms.stieltjes
+
+    def counting(*args):
+        calls.append(args)
+        return real_stieltjes(*args)
+
+    monkeypatch.setattr(sub.ms, "stieltjes", counting)
+    mu = ms.uniform(-1.0, 1.0)
+    for t, z in ((0.0, complex(math.nan, 0.1)), (0.0, complex(math.inf, 0.1)),
+                 (0.0, complex(0.3, math.inf)), (math.nan, 0.3 + 0.1j),
+                 (math.inf, 0.3 + 0.1j)):
+        with pytest.raises(sub.DomainError):
+            sub.solve(mu, mu, t, z)
+    assert calls == []
+    rho, _, iters = sub.density_sweep(mu, mu, math.nan, np.array([0.0, 0.5]))
+    assert np.all(np.isnan(rho)) and np.all(iters == 0)
+    assert calls == []
+
+
 def test_nonconvergence_reports_iterations():
     mu = ms.semicircle(1.0)
     with pytest.raises(sub.NonConvergenceError) as exc:
@@ -224,6 +248,59 @@ def test_density_mass_and_csv_columns():
     assert 0.99 <= mass <= 1.001
     assert np.all(resid <= 1e-11)
     assert np.all(iters >= 1)
+
+
+def _recording_solve(monkeypatch, fail_at=None):
+    """Wrap sub.solve; log (z, omega2_init, im m) per call, raise at z == fail_at."""
+    log = []
+    real_solve = sub.solve
+
+    def recording(mu1, mu2, t, z, **kwargs):
+        if z == fail_at:
+            log.append((z, kwargs.get("omega2_init"), None))
+            raise sub.NonConvergenceError(1, math.inf)
+        sol = real_solve(mu1, mu2, t, z, **kwargs)
+        log.append((z, kwargs.get("omega2_init"), sol.m.imag))
+        return sol
+
+    monkeypatch.setattr(sub, "solve", recording)
+    return log
+
+
+@pytest.mark.parametrize("etas", [(1e-3, 5e-4), (2e-3, 1e-3, 5e-4)])
+def test_density_intercept_matches_polyfit(monkeypatch, etas):
+    mu = ms.uniform(-1.0, 1.0)
+    grid = np.linspace(-2.0, 2.0, 41)
+    log = _recording_solve(monkeypatch)
+    rho, _, _ = sub.density_sweep(mu, mu, 0.0, grid, eta_seq=etas)
+    ims = np.array([rec[2] for rec in log]).reshape(len(grid), len(etas))
+    want = np.array([max(np.polyfit(etas, row, 1)[1] / math.pi, 0.0) for row in ims])
+    # relative to the row's values: beyond the edge the intercept cancels
+    # to ~1e-18 and polyfit's own rounding is larger than the intercept
+    scale = np.max(np.abs(ims), axis=1) / math.pi
+    assert np.all(np.abs(rho - want) <= 1e-15 * scale)
+    bulk = want > 1e-3
+    assert np.count_nonzero(bulk) > 20
+    assert np.all(np.abs(rho - want)[bulk] <= 1e-15 * want[bulk])
+
+
+def test_density_failed_solve_is_nan_and_resets_warm_start(monkeypatch):
+    mu = ms.uniform(-1.0, 1.0)
+    grid = np.linspace(-0.5, 0.5, 5)
+    etas = (1e-3, 5e-4)
+    fail_at = complex(grid[2], etas[1])
+    log = _recording_solve(monkeypatch, fail_at=fail_at)
+    rho, resid, iters = sub.density_sweep(mu, mu, 0.0, grid, eta_seq=etas)
+    assert np.isnan(rho[2])
+    assert np.all(np.isfinite(np.delete(rho, 2)))
+    assert resid[2] > 0.0 and iters[2] > 0   # the other eta still counts
+    warm = {z: init for z, init, _ in log}
+    # the eta that failed restarts cold at the next point; the other keeps
+    # its warm start
+    assert warm[complex(grid[3], etas[1])] is None
+    assert warm[complex(grid[3], etas[0])] is not None
+    assert all(warm[complex(e, h)] is not None for e in grid[1:] for h in etas
+               if complex(e, h) != complex(grid[3], etas[1]))
 
 
 @pytest.mark.skipif(os.environ.get("FREECONV_HEAVY") != "1",
