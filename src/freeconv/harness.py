@@ -157,6 +157,42 @@ def _report(tag, cfg, statistic, threshold, stats, records, extra_echo=None):
     )
 
 
+def _top_sample(spec, t0, k):
+    """lambda_max of sample k, lambda_max after a flow of length t0 (no flow
+    for t0 <= 0), and the number of dense fallbacks taken."""
+    rng = rmt.sample_stream(spec.seed, k)
+    # W is not kept: it would stay alive, an n x n array, through the Lanczos
+    h = rmt.sample_matrix(spec, rng)[0]
+    lam0, fell_back = rmt.top_eigenvalue(h, spec.seed)
+    if not t0 > 0:
+        return lam0, lam0, fell_back
+    h = h + math.sqrt(t0) * rmt.sample_gue(spec.n, rng)
+    lam1, fell_back1 = rmt.top_eigenvalue(h, spec.seed)
+    return lam0, lam1, fell_back + fell_back1
+
+
+def _local_law_sample(spec, z, omega, k):
+    """Resolvent errors of sample k at z against the subordination point omega:
+    worst-entry and averaged G_ii - 1/(a_i - omega), |upsilon|,
+    |omega_a_c - omega| and the largest entry-local error |a_i - 1/G_ii - omega|."""
+    h, w = rmt.sample_matrix(spec, rmt.sample_stream(spec.seed, k))
+    a = spec.a_diag
+    probe = rmt.resolvent_probe(h, a, spec.t, z, w)
+    diff = probe.g_diag - 1.0 / (a - omega)
+    # Im G_ii > 0 for Im z > 0, so 1 / G_ii is always finite.
+    local = a - 1.0 / probe.g_diag - omega
+    return (float(np.max(np.abs(diff))), abs(complex(np.mean(diff))),
+            abs(probe.upsilon), abs(probe.omega_a_c - omega),
+            float(np.max(np.abs(local))))
+
+
+def _rigidity_sample(spec, gammas, weights, k):
+    """Largest weighted deviation of the top len(gammas) eigenvalues of sample k."""
+    h = rmt.sample_matrix(spec, rmt.sample_stream(spec.seed, k))[0]
+    dev = np.abs(rmt.descending_eigenvalues(h, spec.seed)[:len(gammas)] - gammas)
+    return float(np.max(weights * dev))
+
+
 def run_tw_experiment(cfg):
     """Rescaled top eigenvalue against the Tracy-Widom beta=2 law."""
     rep = eg.find_edge_stability(cfg.mu1, cfg.mu2, cfg.t)
@@ -164,10 +200,8 @@ def run_tw_experiment(cfg):
     n = cfg.ensemble.n
     scale = rep.gamma * n ** (2.0 / 3.0)
 
-    seed = cfg.ensemble.seed
-    tops = [rmt.top_eigenvalue(rmt.sample_matrix(cfg.ensemble, rmt.sample_stream(seed, k)),
-                               seed) for k in range(cfg.n_samples)]
-    xs = scale * (np.array([lam for lam, _ in tops]) - rep.e_plus)
+    lam, _, fallbacks = zip(*[_top_sample(cfg.ensemble, 0.0, k) for k in range(cfg.n_samples)])
+    xs = scale * (np.array(lam) - rep.e_plus)
     ks = ks_statistic(xs, lambda s: tw_cdf_extended(ev, s))
     tw_mean, tw_variance = tw.tw2_moments(ev)
     stats = {
@@ -177,7 +211,7 @@ def run_tw_experiment(cfg):
         "variance_rescaled": float(np.var(xs)),
         "tw_mean": tw_mean,
         "tw_variance": tw_variance,
-        "dense_fallbacks": sum(fell_back for _, fell_back in tops),
+        "dense_fallbacks": sum(fallbacks),
     }
     records = [{"sample_index": k, "value": float(v)} for k, v in enumerate(xs)]
     return _report("tw", cfg, ks, cfg.ks_threshold, stats, records)
@@ -212,22 +246,8 @@ def run_local_law_experiment(cfg):
         mu_b = ms.atoms(b, np.full(n, 1.0 / n))
         z = edge_rep.e_plus + 1j * n ** (-cfg.eta_exponent)
         omega_a = sub.solve(mu_a, mu_b, cfg.t, z).omega1
-        theory_diag = 1.0 / (a - omega_a)
-
-        def one(k, n=n, a=a, b=b, z=z, theory=theory_diag, omega=omega_a):
-            rng = rmt.sample_stream(cfg.ensemble.seed, k)
-            u = rmt.sample_haar_unitary(n, rng)
-            w = rmt.sample_gue(n, rng) if cfg.t > 0 else None
-            h = rmt.build_matrix(a, b, u, cfg.t, w)
-            probe = rmt.resolvent_probe(h, a, cfg.t, z, w)
-            diff = probe.g_diag - theory
-            # Im G_ii > 0 for Im z > 0, so 1 / G_ii is always finite.
-            local = a - 1.0 / probe.g_diag - omega
-            return (float(np.max(np.abs(diff))), abs(complex(np.mean(diff))),
-                    abs(probe.upsilon), abs(probe.omega_a_c - omega),
-                    float(np.max(np.abs(local))))
-
-        rows = [one(k) for k in range(cfg.n_samples)]
+        spec = rmt.EnsembleSpec(n, a, b, cfg.t, cfg.ensemble.seed)
+        rows = [_local_law_sample(spec, z, omega_a, k) for k in range(cfg.n_samples)]
         entry, avg, ups, subord, local = (np.array(col) for col in zip(*rows))
         per_size[n] = {
             "median_entry_error": float(np.median(entry)),
@@ -254,13 +274,8 @@ def run_rigidity_experiment(cfg):
     n = cfg.ensemble.n
     gammas = eg.classical_locations(cfg.mu1, cfg.mu2, cfg.t, n, cfg.top_k)
     weights = (n ** (2.0 / 3.0)) * np.arange(1, cfg.top_k + 1) ** (1.0 / 3.0)
-
-    def one(k):
-        sample = rmt.assemble(cfg.ensemble, rmt.sample_stream(cfg.ensemble.seed, k))
-        dev = np.abs(sample.eigenvalues[:cfg.top_k] - gammas)
-        return float(np.max(weights * dev))
-
-    rs = np.array([one(k) for k in range(cfg.n_samples)])
+    rs = np.array([_rigidity_sample(cfg.ensemble, gammas, weights, k)
+                   for k in range(cfg.n_samples)])
     pct = float(np.percentile(rs, 95))
     stats = {"percentile_95": pct, "max_r": float(np.max(rs)),
              "median_r": float(np.median(rs)), "top_k": cfg.top_k}
@@ -272,7 +287,7 @@ def run_rigidity_experiment(cfg):
 def run_dbm_comparison(cfg, t0=None):
     """Two-sample KS between rescaled top eigenvalues before and after
     a short flow of length t0 = N^(-1/3 + chi), with the unitary shared
-    inside each pair."""
+    inside each pair.  The pairs are the Tracy-Widom experiment's draws."""
     n = cfg.ensemble.n
     if t0 is None:
         t0 = n ** (-1.0 / 3.0 + cfg.chi)
@@ -280,30 +295,17 @@ def run_dbm_comparison(cfg, t0=None):
     flowed = eg.find_edge_stability(cfg.mu1, cfg.mu2, cfg.t + t0) if t0 > 0 else base
     pow23 = n ** (2.0 / 3.0)
 
-    seed = cfg.ensemble.seed
-
-    def one(k):
-        rng = rmt.sample_stream(seed, k)
-        h = rmt.sample_matrix(cfg.ensemble, rng)
-        tops = [rmt.top_eigenvalue(h, seed)]
-        if t0 > 0:
-            h = h + math.sqrt(t0) * rmt.sample_gue(n, rng)
-            tops.append(rmt.top_eigenvalue(h, seed))
-        lam0, lam1 = tops[0][0], tops[-1][0]
-        return (base.gamma * pow23 * (lam0 - base.e_plus),
-                flowed.gamma * pow23 * (lam1 - flowed.e_plus),
-                sum(fell_back for _, fell_back in tops))
-
-    rows = [one(k) for k in range(cfg.n_samples)]
-    x0 = np.array([r[0] for r in rows])
-    x1 = np.array([r[1] for r in rows])
+    lam0, lam1, fallbacks = zip(*[_top_sample(cfg.ensemble, t0, k)
+                                  for k in range(cfg.n_samples)])
+    x0 = base.gamma * pow23 * (np.array(lam0) - base.e_plus)
+    x1 = flowed.gamma * pow23 * (np.array(lam1) - flowed.e_plus)
     ks = ks_statistic(x0, x1)
     stats = {"t0": float(t0), "e_plus_base": base.e_plus, "e_plus_flowed": flowed.e_plus,
              "gamma_base": base.gamma, "gamma_flowed": flowed.gamma,
              "mean_base": float(np.mean(x0)), "mean_flowed": float(np.mean(x1)),
-             "dense_fallbacks": sum(r[2] for r in rows)}
+             "dense_fallbacks": sum(fallbacks)}
     records = [{"sample_index": k, "value": float(a), "value_flowed": float(b)}
-               for k, (a, b, _) in enumerate(rows)]
+               for k, (a, b) in enumerate(zip(x0, x1))]
     return _report("dbm", cfg, ks, cfg.ks_threshold, stats, records,
                    extra_echo={"t0": float(t0)})
 

@@ -51,6 +51,9 @@ class SubordinationSolution:
 def f_transform(mu, t, z, k=0):
     """F_{mu,t}(z) = -1/m_mu(z) + t m_mu(z) (k = 0) or its k-th derivative, k in {1, 2}."""
     m = ms.stieltjes(mu, z)
+    if m == 0:
+        # far from the support m rounds to 0, where -1/m is not a number
+        raise DomainError("m_mu(z) is 0 at z=%r" % (z,))
     if k == 0:
         return -1.0 / m + t * m
     if k not in (1, 2):

@@ -13,6 +13,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 from freeconv import edge as eg
@@ -160,10 +161,19 @@ def test_criterion_07_main_theorem_desk_scale():
     assert rep.passed
 
 
-def test_criterion_08_local_law_decay():
-    sizes = (250, 500, 1000)
-    cfg = _uniform_pair_config(1000, 20, 81, ks_threshold=0.9, sizes=sizes)
-    rep = hz.run_local_law_experiment(cfg)
+LOCAL_LAW_SIZES = (250, 500, 1000)
+
+
+@pytest.fixture(scope="module")
+def local_law_report():
+    """Criterion 8's run, shared by its gate and the omega value gate."""
+    cfg = _uniform_pair_config(1000, 20, 81, ks_threshold=0.9, sizes=LOCAL_LAW_SIZES)
+    return hz.run_local_law_experiment(cfg)
+
+
+def test_criterion_08_local_law_decay(local_law_report):
+    sizes = LOCAL_LAW_SIZES
+    rep = local_law_report
     per_size = rep.stats["per_size"]
 
     upsilon_ok = all(per_size[str(n)]["median_upsilon"] <= 5.0 / math.sqrt(n)
@@ -186,6 +196,21 @@ def test_criterion_08_local_law_decay():
     # resolvent error, whose edge amplification grows with N; see the module
     # docstring.
     assert decay_ok
+
+
+def test_local_law_subordination_value(local_law_report):
+    # At t = 0 the approximate subordination point omega_a_c of each sample
+    # must land on the atomic omega itself, not only decay in ratio: the
+    # per-size median of |omega_a_c - omega| stays below N^-0.4.
+    per_size = local_law_report.stats["per_size"]
+    errors = [per_size[str(n)]["median_subordination_error"] for n in LOCAL_LAW_SIZES]
+    bounds = [n ** -0.4 for n in LOCAL_LAW_SIZES]
+    ok = all(e <= b for e, b in zip(errors, bounds))
+    print("local-law omega value %s  median |omega_a_c - omega| %s (bounds %s)"
+          % ("PASS" if ok else "FAIL", ["%.4f" % e for e in errors],
+             ["%.3f" % b for b in bounds]))
+    for e, b in zip(errors, bounds):
+        assert e <= b
 
 
 def test_criterion_09_rigidity():
@@ -231,8 +256,8 @@ def test_criterion_12_bernoulli_arcsine():
     half = n // 2
     signs = np.concatenate([-np.ones(half), np.ones(half)])
     spec = rmt.EnsembleSpec(n, signs, signs, 0.0, 7)
-    sample = rmt.assemble(spec)
-    lam = np.sort(sample.eigenvalues)
+    h, _ = rmt.sample_matrix(spec, rmt.sample_stream(spec.seed, 0))
+    lam = np.sort(rmt.descending_eigenvalues(h, spec.seed))
     cdf = 0.5 + np.arcsin(np.clip(lam / 2.0, -1.0, 1.0)) / math.pi
     ranks = np.arange(1, n + 1)
     sup = max(np.max(np.abs(cdf - ranks / n)),

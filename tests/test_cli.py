@@ -124,10 +124,16 @@ def test_config_errors_exit_2(tmp_path):
     assert run("verify-tw", "--config", str(mismatched)) == 2
 
 
-def test_numerical_failure_exit_3(tmp_path):
+def test_numerical_failure_exit_3(tmp_path, capsys):
     # two point masses at t=0 are a shift case without a square-root edge
     assert run("edge", "--mu1", "point_mass:0", "--mu2", "point_mass:0",
                "--out-dir", str(tmp_path)) == 3
+    # a grid end so far out that m_mu rounds to 0 fails those density points
+    for mu1, hi in (("uniform:-1,1", "1e20"), ("arcsine:-1,1", "1e70")):
+        capsys.readouterr()
+        assert run("convolve", "--mu1", mu1, "--mu2", "uniform:-1,1", "--grid-hi", hi,
+                   "--grid-points", "3", "--out-dir", str(tmp_path)) == 3, mu1
+        assert "density solve failed at 2 of 3 points" in capsys.readouterr().err
 
 
 def test_convolve_failed_density_point_exit_3(tmp_path, monkeypatch, capsys):

@@ -325,6 +325,21 @@ def test_dbm_gue_control():
     assert rep.stats["dense_fallbacks"] == 0
 
 
+def test_tw_and_dbm_share_one_draw():
+    # Both experiments draw sample k's matrix from the same (seed, k) stream;
+    # the flow increment comes after it, so the unflowed values agree exactly.
+    n = 60
+    mu = ms.uniform(-1.0, 1.0)
+    q = ms.quantiles(mu, n)
+    spec = rmt.EnsembleSpec(n, q, q, 0.0, 13)
+    cfg = hz.ExperimentConfig(ensemble=spec, n_samples=8, mu1=mu, mu2=mu, t=0.0)
+    tw_rep, dbm_rep = hz.run_tw_experiment(cfg), hz.run_dbm_comparison(cfg)
+    assert dbm_rep.stats["t0"] > 0
+    for tw_row, dbm_row in zip(tw_rep.records, dbm_rep.records, strict=True):
+        assert tw_row["value"] == dbm_row["value"]
+        assert dbm_row["value_flowed"] != dbm_row["value"]
+
+
 # --- report files ---
 
 def test_write_report_json_and_csv(tmp_path):

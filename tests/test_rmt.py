@@ -73,16 +73,22 @@ def test_gue_largest_eigenvalue_mean():
     assert abs(np.mean(lam) - (2.0 - 1.771086807411601 * 400.0 ** (-2.0 / 3.0))) <= 0.004
 
 
+def _spectrum(spec):
+    """Descending spectrum of the sample drawn from the (seed, 0) stream."""
+    h, _ = rmt.sample_matrix(spec, rmt.sample_stream(spec.seed, 0))
+    return rmt.descending_eigenvalues(h, spec.seed)
+
+
 def test_assemble_b_zero_exact():
     a = np.array([3.0, 1.0, 2.0, -1.0, 0.0])
-    s = rmt.assemble(rmt.EnsembleSpec(5, a, np.zeros(5), 0.0, 42))
-    assert np.array_equal(s.eigenvalues, np.sort(a)[::-1])
+    lam = _spectrum(rmt.EnsembleSpec(5, a, np.zeros(5), 0.0, 42))
+    assert np.array_equal(lam, np.sort(a)[::-1])
 
 
 def test_assemble_a_zero_similarity():
     b = np.linspace(-1.0, 1.0, 60)
-    s = rmt.assemble(rmt.EnsembleSpec(60, np.zeros(60), b, 0.0, 43))
-    assert np.max(np.abs(s.eigenvalues - np.sort(b)[::-1])) < 1e-10
+    lam = _spectrum(rmt.EnsembleSpec(60, np.zeros(60), b, 0.0, 43))
+    assert np.max(np.abs(lam - np.sort(b)[::-1])) < 1e-10
 
 
 def test_assemble_bernoulli_arcsine():
@@ -90,8 +96,7 @@ def test_assemble_bernoulli_arcsine():
     # law on [-2, 2]; one sample at N=2000 against its closed-form CDF.
     n = 2000
     half = np.concatenate([-np.ones(n // 2), np.ones(n // 2)])
-    s = rmt.assemble(rmt.EnsembleSpec(n, half, half, 0.0, 7))
-    lam = np.sort(s.eigenvalues)
+    lam = np.sort(_spectrum(rmt.EnsembleSpec(n, half, half, 0.0, 7)))
     theory = 0.5 + np.arcsin(np.clip(lam / 2.0, -1.0, 1.0)) / math.pi
     ranks = np.arange(1, n + 1) / n
     sup = np.max(np.maximum(np.abs(theory - ranks), np.abs(theory - (ranks - 1.0 / n))))
@@ -100,29 +105,38 @@ def test_assemble_bernoulli_arcsine():
 
 def test_assemble_reproducible():
     spec = rmt.EnsembleSpec(40, np.zeros(40), np.ones(40), 0.5, 99)
-    assert np.array_equal(rmt.assemble(spec).eigenvalues, rmt.assemble(spec).eigenvalues)
+    assert np.array_equal(_spectrum(spec), _spectrum(spec))
 
 
 def test_assemble_spectrum_bound():
     a = uniform_quantiles(120)
     for t in (0.0, 0.3):
         for seed in range(5):
-            s = rmt.assemble(rmt.EnsembleSpec(120, a, a, t, seed))
-            assert s.eigenvalues[0] <= 1.0 + 1.0 + 2.0 * math.sqrt(t) + 0.5
+            lam = _spectrum(rmt.EnsembleSpec(120, a, a, t, seed))
+            assert lam[0] <= 1.0 + 1.0 + 2.0 * math.sqrt(t) + 0.5
 
 
 def _haar_path(spec, rng):
-    """H built on the full Haar path, the reference for sample_matrix."""
+    """(H, W) built on the full Haar path, the reference for sample_matrix."""
     u = rmt.sample_haar_unitary(spec.n, rng)
     w = rmt.sample_gue(spec.n, rng) if spec.t > 0 else None
-    return rmt.build_matrix(spec.a_diag, spec.b_diag, u, spec.t, w)
+    return rmt.build_matrix(spec.a_diag, spec.b_diag, u, spec.t, w), w
+
+
+def _assert_w_inside(spec, h, w):
+    # a constant b adds only to the diagonal, so off it H is sqrt(t) W exactly
+    off = ~np.eye(spec.n, dtype=bool)
+    assert np.array_equal(h[off], math.sqrt(spec.t) * w[off])
 
 
 def test_sample_matrix_b_zero_bit_identical():
     n = 80
     spec = rmt.EnsembleSpec(n, uniform_quantiles(n), np.zeros(n), 1.0, 17)
     fast, full = rmt.sample_stream(17, 3), rmt.sample_stream(17, 3)
-    assert np.array_equal(rmt.sample_matrix(spec, fast), _haar_path(spec, full))
+    (h, w), (h_ref, w_ref) = rmt.sample_matrix(spec, fast), _haar_path(spec, full)
+    assert np.array_equal(h, h_ref)
+    assert np.array_equal(w, w_ref)
+    _assert_w_inside(spec, h, w)
     assert fast.standard_normal() == full.standard_normal()
 
 
@@ -130,7 +144,10 @@ def test_sample_matrix_constant_b_matches_haar_path():
     n = 80
     spec = rmt.EnsembleSpec(n, uniform_quantiles(n), np.full(n, 0.7), 1.0, 18)
     fast, full = rmt.sample_stream(18, 0), rmt.sample_stream(18, 0)
-    assert np.max(np.abs(rmt.sample_matrix(spec, fast) - _haar_path(spec, full))) <= 1e-14
+    (h, w), (h_ref, w_ref) = rmt.sample_matrix(spec, fast), _haar_path(spec, full)
+    assert np.max(np.abs(h - h_ref)) <= 1e-14
+    assert np.array_equal(w, w_ref)
+    _assert_w_inside(spec, h, w)
     assert fast.standard_normal() == full.standard_normal()
 
 
@@ -138,7 +155,7 @@ def _top_against_dense(spec, t0, count):
     """top_eigenvalue against eigvalsh on base and flowed samples."""
     for k in range(count):
         rng = rmt.sample_stream(spec.seed, k)
-        h = rmt.sample_matrix(spec, rng)
+        h, _ = rmt.sample_matrix(spec, rng)
         for m in (h, h + math.sqrt(t0) * rmt.sample_gue(spec.n, rng)):
             lam, fell_back = rmt.top_eigenvalue(m, spec.seed)
             assert not fell_back
@@ -216,6 +233,9 @@ def test_top_eigenvalue_dense_failure_carries_seed():
     with pytest.raises(rmt.EigensolverError) as info:
         rmt.top_eigenvalue(h, 7)
     assert info.value.seed == 7
+    with pytest.raises(rmt.EigensolverError) as info:
+        rmt.descending_eigenvalues(h, 8)
+    assert info.value.seed == 8
 
 
 def test_spec_validation():
@@ -225,8 +245,10 @@ def test_spec_validation():
         rmt.EnsembleSpec(3, np.zeros(3), np.zeros(3), -0.1, 1)
     with pytest.raises(ValueError):
         rmt.EnsembleSpec(3, np.array([np.inf, 0, 0]), np.zeros(3), 0.0, 1)
-    with pytest.raises(ValueError):
-        rmt.SpectrumSample(np.array([0.0, 1.0]), 1, 0.0)
+    # a non-finite t must not pass for t = 0 (nan > 0 is False) or reach Lanczos
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            rmt.EnsembleSpec(4, np.zeros(4), np.linspace(0.0, 1.0, 4), t, 1)
 
 
 def test_resolvent_diagonal_exact():

@@ -66,6 +66,19 @@ def test_f_transform_derivative_matches_finite_difference():
                 assert abs(fd2 - d2) / abs(d2) < 1e-6
 
 
+def test_f_transform_zero_stieltjes_is_domain_error():
+    # Far from the support the uniform transform's log difference cancels to
+    # exactly 0; -1/m is then no number, and a density grid point there fails.
+    mu = ms.uniform(-1.0, 1.0)
+    z = complex(1e20, 1e-3)
+    assert ms.stieltjes(mu, z) == 0
+    for k in (0, 1, 2):
+        with pytest.raises(sub.DomainError):
+            sub.f_transform(mu, 0.0, z, k)
+    rho, _, _ = sub.density_sweep(mu, mu, 0.0, [0.0, 1e20])
+    assert np.isfinite(rho[0]) and np.isnan(rho[1])
+
+
 def test_solve_semicircle_pair_t0():
     mu = ms.semicircle(1.0)
     w1, w2, res = beyond_edge(mu, mu, 0.0, 3.0)
