@@ -297,11 +297,12 @@ def cmd_convolve(cfg):
     grid = np.linspace(lo, hi, cfg["grid_points"])
     rho, resid, iters = sub.density_sweep(mu1, mu2, t, grid)
     failed = int(np.sum(~np.isfinite(rho)))
-    integral = float(np.trapezoid(np.nan_to_num(rho, nan=0.0), grid))
+    # a failed point has no density, so with one the integral means nothing
+    integral = "" if failed else " integral=%.6f" % float(np.trapezoid(rho, grid))
     _emit_csv(_out_path(cfg, "density.csv"), ("x", "density"),
               [(float(x), float(r)) for x, r in zip(grid, rho)])
     _emit_json(_out_path(cfg, "edge.json"), rep.as_record())
-    print("convolve: e_plus=%.10g integral=%.6f grid=%d failed=%d "
+    print("convolve: e_plus=%.10g%s grid=%d failed=%d "
           "iterations=%d max_residual=%.3e"
           % (rep.e_plus, integral, len(grid), failed, int(iters.sum()),
              float(resid.max())))

@@ -14,11 +14,17 @@ which the local law controls directly.  The raw worst-entry resolvent
 error max_i |G_ii - 1/(a_i - omega)| carries the deterministic factor
 |a_i - omega|^-2, which grows as eta shrinks near the edge; it is still
 recorded per sample, but not gated.
+
+Each experiment maps one per-sample function of (spec, ..., k) over its
+samples and reduces the results in index order.  Sample k draws only from
+the stream (seed, k), so a large run can compute its samples in worker
+processes (see _map), and the worker count changes no output.
 """
 
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +163,61 @@ def _report(tag, cfg, statistic, threshold, stats, records, extra_echo=None):
     )
 
 
+# Below these, a run's samples cost less than starting a pool: a 2-worker
+# spawn pool takes about 0.3 s to start and to import numpy and freeconv.
+_POOL_MIN_N = 200
+_POOL_MIN_SAMPLES_PER_WORKER = 8
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _pool_size(n_tasks, n):
+    """Worker processes for n_tasks samples whose largest matrix is n x n:
+    one per usable core, with at least 8 samples each, and none below
+    N = 200.  A result of 1 means the samples run in this process."""
+    if n < _POOL_MIN_N:
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cores or 1, n_tasks // _POOL_MIN_SAMPLES_PER_WORKER))
+
+
+def _map(fn, tasks, n):
+    """[fn(*task) for task in tasks], in task order; n is the largest matrix
+    size among the tasks.
+
+    A run that _pool_size gives more than one worker is computed in a spawn
+    pool whose workers each run BLAS on one thread.  The thread variables
+    are in the environment the workers start with, and only while they
+    start: an initializer would be too late, since a worker imports the
+    caller's main module, and with it numpy, first.  The pool is shut down
+    and its workers joined before this returns, after cancelling what has
+    not started if a task raised.  A task's result depends only on its
+    arguments, so the worker count does not change it.
+    """
+    workers = _pool_size(len(tasks), n)
+    if workers < 2:
+        return [fn(*task) for task in tasks]
+    # imported here, not at module level: they lengthen every start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        try:
+            # the first `workers` submissions start the workers
+            futures = [pool.submit(fn, *task) for task in tasks]
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _top_sample(spec, t0, k):
     """lambda_max of sample k, lambda_max after a flow of length t0 (no flow
     for t0 <= 0), and the number of dense fallbacks taken."""
@@ -200,7 +261,8 @@ def run_tw_experiment(cfg):
     n = cfg.ensemble.n
     scale = rep.gamma * n ** (2.0 / 3.0)
 
-    lam, _, fallbacks = zip(*[_top_sample(cfg.ensemble, 0.0, k) for k in range(cfg.n_samples)])
+    tasks = [(cfg.ensemble, 0.0, k) for k in range(cfg.n_samples)]
+    lam, _, fallbacks = zip(*_map(_top_sample, tasks, n))
     xs = scale * (np.array(lam) - rep.e_plus)
     ks = ks_statistic(xs, lambda s: tw_cdf_extended(ev, s))
     tw_mean, tw_variance = tw.tw2_moments(ev)
@@ -236,9 +298,7 @@ def run_local_law_experiment(cfg):
     if any(b <= a for a, b in zip(cfg.sizes, cfg.sizes[1:])):
         raise ValueError("local-law sizes must be strictly increasing")
     edge_rep = eg.find_edge_stability(cfg.mu1, cfg.mu2, cfg.t)
-    per_size = {}
-    records = []
-    medians = []
+    tasks = []
     for n in cfg.sizes:
         a = ms.quantiles(cfg.mu1, n)
         b = ms.quantiles(cfg.mu2, n)
@@ -247,8 +307,14 @@ def run_local_law_experiment(cfg):
         z = edge_rep.e_plus + 1j * n ** (-cfg.eta_exponent)
         omega_a = sub.solve(mu_a, mu_b, cfg.t, z).omega1
         spec = rmt.EnsembleSpec(n, a, b, cfg.t, cfg.ensemble.seed)
-        rows = [_local_law_sample(spec, z, omega_a, k) for k in range(cfg.n_samples)]
-        entry, avg, ups, subord, local = (np.array(col) for col in zip(*rows))
+        tasks += [(spec, z, omega_a, k) for k in range(cfg.n_samples)]
+    rows = _map(_local_law_sample, tasks, cfg.sizes[-1])
+    per_size = {}
+    records = []
+    medians = []
+    for i, n in enumerate(cfg.sizes):
+        block = rows[i * cfg.n_samples:(i + 1) * cfg.n_samples]
+        entry, avg, ups, subord, local = (np.array(col) for col in zip(*block))
         per_size[n] = {
             "median_entry_error": float(np.median(entry)),
             "median_avg_error": float(np.median(avg)),
@@ -274,8 +340,8 @@ def run_rigidity_experiment(cfg):
     n = cfg.ensemble.n
     gammas = eg.classical_locations(cfg.mu1, cfg.mu2, cfg.t, n, cfg.top_k)
     weights = (n ** (2.0 / 3.0)) * np.arange(1, cfg.top_k + 1) ** (1.0 / 3.0)
-    rs = np.array([_rigidity_sample(cfg.ensemble, gammas, weights, k)
-                   for k in range(cfg.n_samples)])
+    tasks = [(cfg.ensemble, gammas, weights, k) for k in range(cfg.n_samples)]
+    rs = np.array(_map(_rigidity_sample, tasks, n))
     pct = float(np.percentile(rs, 95))
     stats = {"percentile_95": pct, "max_r": float(np.max(rs)),
              "median_r": float(np.median(rs)), "top_k": cfg.top_k}
@@ -295,8 +361,8 @@ def run_dbm_comparison(cfg, t0=None):
     flowed = eg.find_edge_stability(cfg.mu1, cfg.mu2, cfg.t + t0) if t0 > 0 else base
     pow23 = n ** (2.0 / 3.0)
 
-    lam0, lam1, fallbacks = zip(*[_top_sample(cfg.ensemble, t0, k)
-                                  for k in range(cfg.n_samples)])
+    tasks = [(cfg.ensemble, t0, k) for k in range(cfg.n_samples)]
+    lam0, lam1, fallbacks = zip(*_map(_top_sample, tasks, n))
     x0 = base.gamma * pow23 * (np.array(lam0) - base.e_plus)
     x1 = flowed.gamma * pow23 * (np.array(lam1) - flowed.e_plus)
     ks = ks_statistic(x0, x1)

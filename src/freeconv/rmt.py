@@ -20,6 +20,12 @@ class EigensolverError(RuntimeError):
     def __init__(self, seed, cause):
         super().__init__("eigensolver failure for seed %r: %s" % (seed, cause))
         self.seed = seed
+        self.cause = cause
+
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so it survives pickling
+        # out of a worker process
+        return type(self), (self.seed, self.cause)
 
 
 class DegenerateError(RuntimeError):

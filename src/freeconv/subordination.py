@@ -33,6 +33,11 @@ class NonConvergenceError(RuntimeError):
         self.iterations = iterations
         self.residual = residual
 
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so it survives pickling
+        # out of a worker process
+        return type(self), (self.iterations, self.residual)
+
 
 class DomainError(ValueError):
     """Raised when an iterate or query leaves the admissible domain."""

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from freeconv import cli
+from freeconv import harness as hz
+from freeconv import rmt
 from freeconv import tracywidom as tw
 
 
@@ -39,9 +41,10 @@ def test_edge_point_mass_shift(tmp_path):
     assert abs(rec["e_plus"] - 2.5) < 1e-9
 
 
-def test_convolve_density_integrates(tmp_path):
+def test_convolve_density_integrates(tmp_path, capsys):
     assert run("convolve", "--mu1", "uniform:-1,1", "--mu2", "uniform:-1,1",
                "--grid-points", "200", "--out-dir", str(tmp_path)) == 0
+    assert " integral=" in capsys.readouterr().out
     lines = (tmp_path / "density.csv").read_text().strip().split("\n")
     assert lines[0] == "x,density"
     data = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
@@ -133,7 +136,26 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
         capsys.readouterr()
         assert run("convolve", "--mu1", mu1, "--mu2", "uniform:-1,1", "--grid-hi", hi,
                    "--grid-points", "3", "--out-dir", str(tmp_path)) == 3, mu1
-        assert "density solve failed at 2 of 3 points" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "density solve failed at 2 of 3 points" in captured.err
+        # failed points have no density, so no integral is printed
+        assert "integral=" not in captured.out
+        assert "failed=2 " in captured.out
+
+
+def test_worker_eigensolver_error_exit_3(tmp_path, monkeypatch, capsys):
+    # an eigensolver failure raised in a pool worker reaches the command
+    # with its type, so the command still exits 3
+    monkeypatch.setattr(hz, "_pool_size", lambda n_tasks, n: 2)
+    bad = np.full((3, 3), np.nan)
+
+    def failing_experiment(cfg):
+        return hz._map(rmt.descending_eigenvalues, [(bad, 7), (bad, 7)], 3)
+
+    monkeypatch.setattr(cli.hz, "run_tw_experiment", failing_experiment)
+    assert run("verify-tw", "--n", "20", "--n-samples", "2",
+               "--out-dir", str(tmp_path)) == 3
+    assert "eigensolver failure for seed 7" in capsys.readouterr().err
 
 
 def test_convolve_failed_density_point_exit_3(tmp_path, monkeypatch, capsys):

@@ -2,15 +2,25 @@
 
 import json
 import math
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+from freeconv import cli
 from freeconv import edge as eg
 from freeconv import harness as hz
 from freeconv import measure as ms
 from freeconv import rmt
+from freeconv import subordination as sub
 from freeconv import tracywidom as tw
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def gue_control_spec(n, seed, t=1.0):
@@ -323,6 +333,9 @@ def test_dbm_gue_control():
     assert abs(rep.stats["t0"] - expected_t0) < 1e-12
     assert rep.stats["e_plus_flowed"] > rep.stats["e_plus_base"]
     assert rep.stats["dense_fallbacks"] == 0
+    # 400 samples at N = 200 run in a pool on two or more cores; it is gone
+    # by the time the experiment returns
+    assert multiprocessing.active_children() == []
 
 
 def test_tw_and_dbm_share_one_draw():
@@ -338,6 +351,75 @@ def test_tw_and_dbm_share_one_draw():
     for tw_row, dbm_row in zip(tw_rep.records, dbm_rep.records, strict=True):
         assert tw_row["value"] == dbm_row["value"]
         assert dbm_row["value_flowed"] != dbm_row["value"]
+
+
+# --- worker pool ---
+
+def test_exceptions_survive_pickling():
+    errors = [rmt.EigensolverError(7, np.linalg.LinAlgError("x")),
+              sub.NonConvergenceError(12, 3.5e-9), rmt.DegenerateError("d"),
+              sub.DomainError("z"), eg.BracketNotFound("b"), eg.FitUnstable("f"),
+              cli.ConfigError("c")]
+    for exc in errors:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert vars(back).keys() == vars(exc).keys()
+    assert pickle.loads(pickle.dumps(errors[0])).seed == 7
+    assert pickle.loads(pickle.dumps(errors[1])).residual == 3.5e-9
+
+
+def test_map_reraises_worker_errors(monkeypatch):
+    monkeypatch.setattr(hz, "_pool_size", lambda n_tasks, n: 2)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="math domain error"):
+        hz._map(math.sqrt, [(4.0,), (-1.0,)], 1)
+    bad = np.full((3, 3), np.nan)
+    with pytest.raises(rmt.EigensolverError) as local:
+        rmt.descending_eigenvalues(bad, 7)
+    with pytest.raises(rmt.EigensolverError) as remote:
+        hz._map(rmt.descending_eigenvalues, [(bad, 7), (bad, 7)], 1)
+    assert time.perf_counter() - start < 30.0
+    assert str(remote.value) == str(local.value)
+    assert remote.value.seed == 7
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_rule():
+    cores = len(os.sched_getaffinity(0))
+    assert hz._pool_size(10_000, 199) == 1
+    assert hz._pool_size(15, 1000) == 1
+    assert hz._pool_size(9, 1000) == 1  # verify-local-law at 3 samples per size
+    assert hz._pool_size(40, 400) == min(cores, 5)
+    assert hz._pool_size(10_000, 200) == cores
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores to pool")
+def test_worker_count_and_blas_threads_leave_outputs_unchanged(tmp_path):
+    # Pooled on every usable core, against one core (so no pool) with one
+    # BLAS thread: the emitted files are the same bytes.
+    args = [sys.executable, "-m", "freeconv", "verify-dbm", "--n", "200",
+            "--n-samples", "32", "--seed", "3", "--out-dir"]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    cpu = min(os.sched_getaffinity(0))
+
+    def run(name, **kwargs):
+        return subprocess.run(args + [str(tmp_path / name)], stdout=subprocess.DEVNULL,
+                              timeout=300, **kwargs).returncode
+
+    pooled = run("pooled", env=env)
+    serial = run("serial", env=dict(env, OPENBLAS_NUM_THREADS="1"),
+                 preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    assert pooled in (0, 1) and serial == pooled
+    for f in ("report.json", "samples.csv"):
+        assert (tmp_path / "pooled" / f).read_bytes() == (tmp_path / "serial" / f).read_bytes()
+
+
+def test_import_does_not_load_multiprocessing():
+    code = ("import sys, freeconv.cli, freeconv.harness; "
+            "assert 'multiprocessing' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                   check=True, timeout=60)
 
 
 # --- report files ---
