@@ -12,8 +12,7 @@ in the w2 coordinate instead: for real w2 beyond the support of mu2 the
 partner point w1 is recovered by inverting F1 = F2(w2), S has a simple zero
 at the critical w2, and the edge abscissa E(w2) = w1 + w2 - F2(w2) satisfies
 dE/dw2 = -S/F1', so it is stationary at the root and inherits twice the
-accuracy of the located w2.  Beyond the edge E(w2) is increasing, so
-inverting it solves the subordination system at real points there.
+accuracy of the located w2.
 
 The edge scale gamma is normalised through the density profile
 
@@ -35,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import measure as ms
-from .subordination import DomainError, density_sweep, f_transform, solve
+from .subordination import density_sweep, f_transform
 
 _DENSITY_ETAS = (2e-4, 1e-4)
 
@@ -62,14 +61,6 @@ class EdgeReport:
     def as_record(self):
         """Flat dict with JSON-friendly values."""
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class StabilityDiagnostics:
-    s_value: complex
-    t_alpha: complex
-    t_beta: complex
-    kappa: float
 
 
 def _real_f(mu, t, x, k=0):
@@ -176,12 +167,14 @@ def _ds_dw2(mu1, mu2, t, w1, w2, f1p, f2p):
 
 
 def _edge_core(mu1, mu2, t):
-    """(e_plus, omega1, omega2, residual) for the upper edge.
+    """(e_plus, omega1, omega2, residual, shifted, F1'(omega1), F2'(omega2))
+    for the upper edge.
 
     The shift case (t = 0 with a point-mass factor) is exact: the edge is the
     translated support endpoint and the stability function never vanishes, so
-    it is resolved directly rather than through the root search.  Otherwise a
-    root whose |S| exceeds 1e-9 raises BracketNotFound.
+    it is resolved directly rather than through the root search; `shifted` is
+    then the translated factor and both slopes are None.  Otherwise shifted is
+    None, and a root whose |S| exceeds 1e-9 raises BracketNotFound.
     """
     shift = _shift_case(mu1, mu2, t)
     if shift is not None:
@@ -191,8 +184,8 @@ def _edge_core(mu1, mu2, t):
         # stands in for the boundary limit.
         f_o = _real_f(other, 0.0, w_o + 1e-9 * max(1.0, abs(w_o)))
         if other is mu1:
-            return w_o + c, w_o, f_o + c, 0.0
-        return w_o + c, f_o + c, w_o, 0.0
+            return w_o + c, w_o, f_o + c, 0.0, other, None, None
+        return w_o + c, f_o + c, w_o, 0.0, other, None, None
 
     eps1 = 1e-9 * max(1.0, abs(mu1.support().upper))
 
@@ -221,9 +214,9 @@ def _edge_core(mu1, mu2, t):
             "stability function does not vanish above the support "
             "(residual %.3g); the edge is not of square-root type" % abs(s_val)
         )
-    w1 = ev[1]
+    _, w1, f1p, f2p = ev
     e_plus = w1 + w2 - _real_f(mu2, t, w2)
-    return e_plus, w1, w2, abs(s_val)
+    return e_plus, w1, w2, abs(s_val), None, f1p, f2p
 
 
 def find_edge_stability(mu1, mu2, t):
@@ -236,16 +229,14 @@ def find_edge_stability(mu1, mu2, t):
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    e_plus, w1, w2, resid = _edge_core(mu1, mu2, t)
+    e_plus, w1, w2, resid, shifted, f1p, f2p = _edge_core(mu1, mu2, t)
 
     xi = None
     if t > 0.0:
         m_edge = ms.stieltjes(mu1, complex(w1, 0.0)).real
         xi = e_plus + t * m_edge
 
-    shift = _shift_case(mu1, mu2, t)
-    if shift is None:
-        f1p, f2p = _real_f(mu1, t, w1, 1), _real_f(mu2, t, w2, 1)
+    if shifted is None:
         ds = _ds_dw2(mu1, mu2, t, w1, w2, f1p, f2p)
         m2p = ms.stieltjes(mu2, complex(w2, 0.0), 1).real
         gamma = math.inf
@@ -254,10 +245,10 @@ def find_edge_stability(mu1, mu2, t):
         if not math.isfinite(gamma):
             raise BracketNotFound("no square-root scale at the stability root "
                                   "(dS/dw2 = %.3g)" % ds)
-    elif shift[1].family == "semicircle":
-        gamma = shift[1].params[0] ** -0.5
+    elif shifted.family == "semicircle":
+        gamma = shifted.params[0] ** -0.5
     else:
-        raise FitUnstable("%r has no square-root upper edge" % (shift[1],))
+        raise FitUnstable("%r has no square-root upper edge" % (shifted,))
 
     return EdgeReport(
         e_plus=float(e_plus),
@@ -269,6 +260,14 @@ def find_edge_stability(mu1, mu2, t):
         method="stability_root",
         residual=float(resid),
     )
+
+
+def stability_at_edge(mu1, mu2, t, rep):
+    """S = (F1'(w1) - 1)(F2'(w2) - 1) - 1 at the subordination pair (w1, w2)
+    of the edge report `rep` for the same (mu1, mu2, t)."""
+    f1p = f_transform(mu1, t, complex(rep.omega1_edge, 0.0), 1)
+    f2p = f_transform(mu2, t, complex(rep.omega2_edge, 0.0), 1)
+    return (f1p - 1.0) * (f2p - 1.0) - 1.0
 
 
 def solve_xi(mu0, t):
@@ -319,7 +318,7 @@ def classical_locations(mu1, mu2, t, n, top_k, grid_points=None):
     """
     if n <= 0 or top_k <= 0 or top_k > n:
         raise ValueError("need 0 < top_k <= n")
-    e_plus, _, _, _ = _edge_core(mu1, mu2, t)
+    e_plus = _edge_core(mu1, mu2, t)[0]
     targets = (np.arange(1, top_k + 1) - 0.5) / n
 
     s1, s2 = mu1.support(), mu2.support()
@@ -347,63 +346,3 @@ def classical_locations(mu1, mu2, t, n, top_k, grid_points=None):
     keep = np.diff(tail, prepend=-1.0) > 0.0
     locs = e_plus - np.interp(np.minimum(targets, tail[keep][-1]), tail[keep], kap[keep])
     return locs
-
-
-def omegas_beyond_edge(mu1, mu2, t, x, edge):
-    """Real subordination pair (omega1, omega2) at a real x above edge.e_plus.
-
-    Solves E(w2) = x for w2 above edge.omega2_edge, where E(w2) = w1 + w2 -
-    F2(w2) with w1 the partner point of w2; dE/dw2 = -S/F1' is positive
-    there, so a bracketed Newton iteration converges.  `edge` is the report
-    of find_edge_stability for the same (mu1, mu2, t).
-    """
-    x = float(x)
-    if not x > edge.e_plus:
-        raise DomainError("real x=%r is not beyond the upper edge %r" % (x, edge.e_plus))
-    eps1 = 1e-9 * max(1.0, abs(mu1.support().upper))
-
-    def e_minus_x(w2):
-        ev = _stability_at(mu1, mu2, t, w2, eps1)
-        if ev is None:
-            return None
-        s_val, w1, f1p, _ = ev
-        return w1 + w2 - _real_f(mu2, t, w2) - x, -s_val / f1p
-
-    def is_hi(w2):
-        ev = e_minus_x(w2)
-        return ev is not None and ev[0] > 0.0
-
-    gap = x - edge.e_plus
-    lo, hi = _march(is_hi, edge.omega2_edge, gap, 2.0, gap * 2.0 ** 79)
-    w2 = _newton_root(e_minus_x, lo, hi)
-    return _stability_at(mu1, mu2, t, w2, eps1)[1], w2
-
-
-def stability_diagnostics(mu1, mu2, t, z, edge):
-    """S, T_alpha, T_beta and the edge distance at a point z.
-
-    At the edge abscissa itself the polished subordination pair from the
-    edge report is used directly; other real z go through
-    omegas_beyond_edge, and im z > 0 through the subordination solver.
-    """
-    zc = complex(z)
-    if zc.imag != 0.0:
-        sol = solve(mu1, mu2, t, zc, tol=1e-13)
-        w1, w2 = sol.omega1, sol.omega2
-    elif abs(zc.real - edge.e_plus) <= 1e-11 * max(1.0, abs(edge.e_plus)):
-        w1 = complex(edge.omega1_edge, 0.0)
-        w2 = complex(edge.omega2_edge, 0.0)
-    else:
-        w1, w2 = omegas_beyond_edge(mu1, mu2, t, zc.real, edge)
-    f1p = f_transform(mu1, t, w1, 1)
-    f2p = f_transform(mu2, t, w2, 1)
-    f1pp = f_transform(mu1, t, w1, 2)
-    f2pp = f_transform(mu2, t, w2, 2)
-    a = f1p - 1.0
-    d = f2p - 1.0
-    return StabilityDiagnostics(
-        s_value=a * d - 1.0,
-        t_alpha=0.5 * (f1pp * d * d + f2pp * a),
-        t_beta=0.5 * (f2pp * a * a + f1pp * d),
-        kappa=abs(zc.real - edge.e_plus),
-    )

@@ -12,7 +12,7 @@ step on its fixed-point equation, kept in {im omega >= im z}, takes over from
 the plain step.  The fixed point gives m_{mu_t}(z) = m_{mu1}(omega1) =
 m_{mu2}(omega2) for the free convolution mu_t = mu1 (+) mu2 (+) semicircle(t),
 and the density follows by Stieltjes inversion with linear eta-extrapolation.
-Real z beyond the upper edge is solved in `edge.omegas_beyond_edge`.
+Only im z > 0 is solved; the upper edge on the real axis is located in `edge`.
 """
 
 import cmath
@@ -22,6 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure as ms
+
+# Absolute stopping tolerance on the plain step of omega2.
+_TOL = 1e-12
 
 
 class NonConvergenceError(RuntimeError):
@@ -74,7 +77,7 @@ def _h(mu, t, w):
     return f_transform(mu, t, w) - w
 
 
-def _iterate_upper(mu1, mu2, t, z, tol, max_iter, omega2_init):
+def _iterate_upper(mu1, mu2, t, z, max_iter, omega2_init):
     """Alternating fixed point in the open upper half-plane, Newton-accelerated.
 
     The plain step w2 -> z + h1(z + h2(w2)) has multiplier 1 + S, with
@@ -82,7 +85,7 @@ def _iterate_upper(mu1, mu2, t, z, tol, max_iter, omega2_init):
     where S vanishes at the edge.  Whenever the plain step shrank by less than
     half, w2 takes the Newton step on g(w2) = z + h1(z + h2(w2)) - w2, whose
     derivative is S, if that step stays in {im w >= im z}, where the fixed
-    point is unique.  Convergence is still the plain step falling to tol.
+    point is unique.  Convergence is still the plain step falling to _TOL.
     """
     w2 = omega2_init if omega2_init is not None else z + 1j * max(1.0, abs(z))
     res = prev = np.inf
@@ -93,7 +96,7 @@ def _iterate_upper(mu1, mu2, t, z, tol, max_iter, omega2_init):
         if w1.imag < -1e-8 or w2_next.imag < -1e-8:
             raise DomainError("iterate left the closed upper half-plane at z=%r" % (z,))
         res = abs(w2_next - w2)
-        if res <= tol:
+        if res <= _TOL:
             return w1, w2_next, res, it
         if res > 0.5 * prev:
             s = (f_transform(mu1, t, w1, 1) - 1.0) * (f_transform(mu2, t, w2, 1) - 1.0) - 1.0
@@ -105,7 +108,7 @@ def _iterate_upper(mu1, mu2, t, z, tol, max_iter, omega2_init):
     raise NonConvergenceError(max_iter, res)
 
 
-def solve(mu1, mu2, t, z, tol=1e-12, max_iter=100000, omega2_init=None):
+def solve(mu1, mu2, t, z, max_iter=100000, omega2_init=None):
     """Solve the subordination system at z with im z > 0.
 
     `omega2_init` warm-starts the iteration, e.g. from the previous point of
@@ -113,21 +116,18 @@ def solve(mu1, mu2, t, z, tol=1e-12, max_iter=100000, omega2_init=None):
     """
     if not (math.isfinite(t) and t >= 0):
         raise DomainError("t must be finite and nonnegative, got %r" % (t,))
-    if tol < 1e-14:
-        raise DomainError("tol below 1e-14 is not resolvable in double precision")
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError("z must be finite, got %r" % (z,))
     if not z.imag > 0:
-        raise DomainError("im z must be > 0; real z beyond the edge is solved by "
-                          "edge.omegas_beyond_edge")
-    w1, w2, res, it = _iterate_upper(mu1, mu2, t, z, tol, max_iter, omega2_init)
+        raise DomainError("im z must be > 0, got %r" % (z,))
+    w1, w2, res, it = _iterate_upper(mu1, mu2, t, z, max_iter, omega2_init)
     m1 = ms.stieltjes(mu1, w1)
     p1 = f_transform(mu1, t, w1) - w1 - w2 + z
     p2 = f_transform(mu2, t, w2) - w1 - w2 + z
     res = max(abs(p1), abs(p2))
     return SubordinationSolution(omega1=w1, omega2=w2, m=m1, residual=res,
-                                 iterations=it, converged=res <= tol)
+                                 iterations=it, converged=res <= _TOL)
 
 
 def density_sweep(mu1, mu2, t, grid, eta_seq=(1e-3, 5e-4)):

@@ -79,8 +79,7 @@ def test_criterion_04_edge_stability_root():
     sc1 = ms.semicircle(1.0)
     rep = eg.find_edge_stability(sc1, sc1, 0.0)
     edge_err = abs(rep.e_plus - 2.0 * math.sqrt(2.0))
-    s_res = abs(eg.stability_diagnostics(sc1, sc1, 0.0,
-                                         complex(rep.e_plus), rep).s_value)
+    s_res = abs(eg.stability_at_edge(sc1, sc1, 0.0, rep))
     ok = edge_err <= 1e-8 and s_res <= 1e-9
     _line(4, ok, "|e_plus - 2 sqrt 2| = %.3e (tol 1e-8), |S| = %.3e "
           "(tol 1e-9)" % (edge_err, s_res))
@@ -135,39 +134,68 @@ def _gue_control_config(n, n_samples, seed, **kw):
                                mu1=pm0, mu2=pm0, t=1.0, **kw)
 
 
-def _uniform_pair_config(n, n_samples, seed, **kw):
+def _uniform_pair_config(n, n_samples, seed, t=0.0, **kw):
     mu = ms.uniform(-1.0, 1.0)
     q = ms.quantiles(mu, n)
-    spec = rmt.EnsembleSpec(n, q, q, 0.0, seed)
+    spec = rmt.EnsembleSpec(n, q, q, t, seed)
     return hz.ExperimentConfig(ensemble=spec, n_samples=n_samples,
-                               mu1=mu, mu2=mu, t=0.0, **kw)
+                               mu1=mu, mu2=mu, t=t, **kw)
 
 
-def test_criterion_06_gue_tracy_widom_control():
+@pytest.fixture(scope="module")
+def gue_control_run():
+    """Criterion 6's run and its wall time, shared with the wrong-theory test."""
     start = time.perf_counter()
     rep = hz.run_tw_experiment(_gue_control_config(400, 2000, 61,
                                                    ks_threshold=0.05))
-    elapsed = time.perf_counter() - start
+    return rep, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def main_theorem_report():
+    """Criterion 7's run, shared with the wrong-theory test."""
+    return hz.run_tw_experiment(_uniform_pair_config(300, 1000, 71,
+                                                     ks_threshold=0.08))
+
+
+@pytest.fixture(scope="module")
+def dbm_report():
+    """Criterion 10's run, shared with the wrong-theory test."""
+    cfg = _uniform_pair_config(300, 1000, 101, ks_threshold=0.08, chi=0.1)
+    return hz.run_dbm_comparison(cfg)
+
+
+def test_criterion_06_gue_tracy_widom_control(gue_control_run):
+    rep, elapsed = gue_control_run
     _line(6, rep.passed, "KS = %.4f (tol 0.05), N=400, 2000 samples, %.0f s"
           % (rep.ks_statistic, elapsed))
     assert rep.passed
 
 
-def test_criterion_07_main_theorem_desk_scale():
-    rep = hz.run_tw_experiment(_uniform_pair_config(300, 1000, 71,
-                                                    ks_threshold=0.08))
+def test_criterion_07_main_theorem_desk_scale(main_theorem_report):
+    rep = main_theorem_report
     _line(7, rep.passed, "KS = %.4f (tol 0.08), uniform pair, N=300, t=0"
           % rep.ks_statistic)
     assert rep.passed
 
 
 LOCAL_LAW_SIZES = (250, 500, 1000)
+# The paper's flow time N^(-1/3 + chi) = 0.1995 at N = 1000 and chi = 0.1.
+LOCAL_LAW_FLOW_T = 0.2
 
 
 @pytest.fixture(scope="module")
 def local_law_report():
     """Criterion 8's run, shared by its gate and the omega value gate."""
     cfg = _uniform_pair_config(1000, 20, 81, ks_threshold=0.9, sizes=LOCAL_LAW_SIZES)
+    return hz.run_local_law_experiment(cfg)
+
+
+@pytest.fixture(scope="module")
+def local_law_flow_report():
+    """Criterion 8's configuration at the flow time LOCAL_LAW_FLOW_T."""
+    cfg = _uniform_pair_config(1000, 20, 81, t=LOCAL_LAW_FLOW_T, ks_threshold=0.9,
+                               sizes=LOCAL_LAW_SIZES)
     return hz.run_local_law_experiment(cfg)
 
 
@@ -198,19 +226,29 @@ def test_criterion_08_local_law_decay(local_law_report):
     assert decay_ok
 
 
-def test_local_law_subordination_value(local_law_report):
-    # At t = 0 the approximate subordination point omega_a_c of each sample
-    # must land on the atomic omega itself, not only decay in ratio: the
-    # per-size median of |omega_a_c - omega| stays below N^-0.4.
-    per_size = local_law_report.stats["per_size"]
+def _check_omega_value(rep):
+    # The approximate subordination point omega_a_c of each sample must land
+    # on the atomic omega itself, not only decay in ratio: the per-size
+    # median of |omega_a_c - omega| stays below N^-0.4 = 1/(N eta).
+    per_size = rep.stats["per_size"]
     errors = [per_size[str(n)]["median_subordination_error"] for n in LOCAL_LAW_SIZES]
     bounds = [n ** -0.4 for n in LOCAL_LAW_SIZES]
     ok = all(e <= b for e, b in zip(errors, bounds))
-    print("local-law omega value %s  median |omega_a_c - omega| %s (bounds %s)"
-          % ("PASS" if ok else "FAIL", ["%.4f" % e for e in errors],
+    print("local-law omega value at t = %g %s  median |omega_a_c - omega| %s (bounds %s)"
+          % (rep.config["t"], "PASS" if ok else "FAIL", ["%.4f" % e for e in errors],
              ["%.3f" % b for b in bounds]))
     for e, b in zip(errors, bounds):
         assert e <= b
+
+
+def test_local_law_subordination_value(local_law_report):
+    _check_omega_value(local_law_report)
+
+
+def test_local_law_subordination_value_at_flow_time(local_law_flow_report):
+    # the paper's local law holds along the flow, here with omega_a_c's
+    # t tr G term and the sqrt(t) W part of the matrix both active
+    _check_omega_value(local_law_flow_report)
 
 
 def test_criterion_09_rigidity():
@@ -221,12 +259,43 @@ def test_criterion_09_rigidity():
     assert rep.passed
 
 
-def test_criterion_10_dbm_edge_comparison():
-    cfg = _uniform_pair_config(300, 1000, 101, ks_threshold=0.08, chi=0.1)
-    rep = hz.run_dbm_comparison(cfg)
+def test_criterion_10_dbm_edge_comparison(dbm_report):
+    rep = dbm_report
     _line(10, rep.passed, "two-sample KS = %.4f (tol 0.08), t0 = %.4f"
           % (rep.ks_statistic, rep.stats["t0"]))
     assert rep.passed
+
+
+# Two wrong theories, fixed in advance, as maps of a rescaled sample
+# x = gamma N^(2/3) (lambda - E_+): E_+ placed 0.3 / (gamma N^(2/3)) too
+# high, and gamma scaled by 0.85.  Against the exact F2 they move the CDF by
+# a sup of 0.133 and 0.148.
+WRONG_THEORIES = (("E_+ + 0.3/(gamma N^2/3)", lambda x: x - 0.3),
+                  ("0.85 gamma", lambda x: 0.85 * x))
+
+
+def test_edge_law_gates_reject_wrong_theories(gue_control_run, main_theorem_report,
+                                              dbm_report):
+    # Criteria 6, 7 and 10 rescored on their stored samples: each gate must
+    # reject each wrong theory, or it could not tell it from the right one.
+    # Criterion 10's wrong theory rescales the flowed sample only.
+    ev = tw.TWEvaluator(40)
+
+    def column(rep, key):
+        return np.array([r[key] for r in rep.records])
+
+    for name, wrong in WRONG_THEORIES:
+        for num, rep in ((6, gue_control_run[0]), (7, main_theorem_report)):
+            ks = hz.ks_statistic(wrong(column(rep, "value")),
+                                 lambda s: hz.tw_cdf_extended(ev, s))
+            print("criterion %02d under %s: KS = %.4f (must exceed %g)"
+                  % (num, name, ks, rep.threshold))
+            assert ks > rep.threshold
+        ks = hz.ks_statistic(column(dbm_report, "value"),
+                             wrong(column(dbm_report, "value_flowed")))
+        print("criterion 10 under %s: KS = %.4f (must exceed %g)"
+              % (name, ks, dbm_report.threshold))
+        assert ks > dbm_report.threshold
 
 
 def test_criterion_11_partial_decomposition():
