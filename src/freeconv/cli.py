@@ -1,14 +1,14 @@
-"""Command-line front end: config resolution, orchestration, file emission.
+"""Command-line front end: config resolution, orchestration, exit codes.
 
 Each command merges three layers (built-in defaults, an optional flat-key
-JSON config file, explicit flags) and validates the result against a fixed
-per-command schema before anything runs.  Outputs are written with
-deterministic bytes so reruns under a fixed seed overwrite identically.
+JSON config file, explicit flags) and validates the result against the keys
+its row of _COMMANDS lists before anything runs.  Files are written by
+harness.write_json and harness.write_csv, with deterministic bytes, so
+reruns under a fixed seed overwrite identically.
 Exit codes: 0 pass, 1 statistical fail, 2 config error, 3 numerical failure.
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -89,49 +89,11 @@ _KEY_SPECS = {
     "tol": (_cast_float, "identity tolerance for decompose-check"),
 }
 
-COMMANDS = ("convolve", "edge", "tabulate-tw", "sample", "verify-tw",
-            "verify-local-law", "verify-rigidity", "verify-dbm",
-            "decompose-check")
-
-_COMMAND_KEYS = {
-    "convolve": ("mu1", "mu2", "t", "grid_lo", "grid_hi", "grid_points", "out_dir"),
-    "edge": ("mu1", "mu2", "t", "out_dir"),
-    "tabulate-tw": ("s_lo", "s_hi", "s_points", "out_dir"),
-    "sample": ("mu1", "mu2", "t", "n", "seed", "out_dir"),
-    "verify-tw": ("mu1", "mu2", "t", "n", "n_samples", "seed", "ks_threshold",
-                  "out_dir"),
-    "verify-local-law": ("mu1", "mu2", "t", "sizes", "n_samples", "seed",
-                         "ks_threshold", "eta_exponent", "out_dir"),
-    "verify-rigidity": ("mu1", "mu2", "t", "n", "n_samples", "seed", "top_k",
-                        "rigidity_limit", "out_dir"),
-    "verify-dbm": ("mu1", "mu2", "t", "n", "n_samples", "seed", "chi",
-                   "ks_threshold", "out_dir"),
-    "decompose-check": ("n", "n_samples", "seed", "tol", "out_dir"),
-}
-
 _COMMON_DEFAULTS = {"t": 0.0, "seed": 1, "out_dir": "."}
 
-# Bare verify commands reproduce the reference experiments, so the GUE
-# control and the uniform-by-uniform comparisons run with no flags at all.
-_COMMAND_DEFAULTS = {
-    "convolve": {"grid_points": 400},
-    "edge": {},
-    "tabulate-tw": {"s_lo": -10.0, "s_hi": 5.0, "s_points": 151},
-    "sample": {"n": 400},
-    "verify-tw": {"mu1": "point_mass:0", "mu2": "point_mass:0", "t": 1.0,
-                  "n": 400, "n_samples": 2000, "ks_threshold": 0.05},
-    "verify-local-law": {"mu1": "uniform:-1,1", "mu2": "uniform:-1,1",
-                         "sizes": (250, 500, 1000), "n_samples": 20,
-                         "eta_exponent": 0.6, "ks_threshold": 0.9},
-    "verify-rigidity": {"mu1": "point_mass:0", "mu2": "point_mass:0", "t": 1.0,
-                        "n": 1000, "n_samples": 50, "top_k": 100,
-                        "rigidity_limit": 10.0},
-    "verify-dbm": {"mu1": "uniform:-1,1", "mu2": "uniform:-1,1", "n": 300,
-                   "n_samples": 1000, "chi": 0.1, "ks_threshold": 0.08},
-    "decompose-check": {"n": 64, "n_samples": 50, "tol": 1e-10},
-}
-
-_NUMERICAL_ERRORS = (sub.NonConvergenceError, sub.DomainError,
+# A ConfigError raised while a command runs is caught before these, so a
+# ValueError that gets here came from a solver.
+_NUMERICAL_ERRORS = (ValueError, sub.NonConvergenceError, sub.DomainError,
                      eg.BracketNotFound, eg.FitUnstable,
                      rmt.EigensolverError, rmt.DegenerateError,
                      np.linalg.LinAlgError, FloatingPointError)
@@ -157,9 +119,9 @@ def parse_measure(key, spec):
 
 def resolve_config(command, args):
     """Merge defaults, config file, and flags; validate against the schema."""
-    allowed = _COMMAND_KEYS[command]
+    _, allowed, defaults = _COMMANDS[command]
     merged = {k: _COMMON_DEFAULTS[k] for k in allowed if k in _COMMON_DEFAULTS}
-    merged.update(_COMMAND_DEFAULTS[command])
+    merged.update(defaults)
 
     if args.config is not None:
         try:
@@ -228,20 +190,6 @@ def _out_path(cfg, name):
     return os.path.join(cfg["out_dir"], name)
 
 
-def _emit_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _emit_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([hz._format_cell(cell) for cell in row])
-
-
 def _embedded_spec(cfg, n=None):
     n = cfg["n"] if n is None else n
     mu1 = parse_measure("mu1", cfg["mu1"])
@@ -251,8 +199,7 @@ def _embedded_spec(cfg, n=None):
     return mu1, mu2, spec
 
 
-def _experiment_config(cfg, **extra):
-    n = extra.pop("n", None)
+def _experiment_config(cfg, n=None, **extra):
     mu1, mu2, spec = _embedded_spec(cfg, n=n)
     kwargs = dict(ensemble=spec, n_samples=cfg["n_samples"], mu1=mu1, mu2=mu2,
                   t=cfg["t"])
@@ -277,7 +224,7 @@ def cmd_edge(cfg):
     mu1 = parse_measure("mu1", cfg["mu1"])
     mu2 = parse_measure("mu2", cfg["mu2"])
     rep = eg.find_edge_stability(mu1, mu2, cfg["t"])
-    _emit_json(_out_path(cfg, "edge.json"), rep.as_record())
+    hz.write_json(_out_path(cfg, "edge.json"), rep.as_record())
     print("edge: e_plus=%.10g gamma=%.10g method=%s residual=%.3g"
           % (rep.e_plus, rep.gamma, rep.method, rep.residual))
     return EXIT_PASS
@@ -299,9 +246,9 @@ def cmd_convolve(cfg):
     failed = int(np.sum(~np.isfinite(rho)))
     # a failed point has no density, so with one the integral means nothing
     integral = "" if failed else " integral=%.6f" % float(np.trapezoid(rho, grid))
-    _emit_csv(_out_path(cfg, "density.csv"), ("x", "density"),
+    hz.write_csv(_out_path(cfg, "density.csv"), ("x", "density"),
               [(float(x), float(r)) for x, r in zip(grid, rho)])
-    _emit_json(_out_path(cfg, "edge.json"), rep.as_record())
+    hz.write_json(_out_path(cfg, "edge.json"), rep.as_record())
     print("convolve: e_plus=%.10g%s grid=%d failed=%d "
           "iterations=%d max_residual=%.3e"
           % (rep.e_plus, integral, len(grid), failed, int(iters.sum()),
@@ -317,7 +264,7 @@ def cmd_tabulate_tw(cfg):
     ev = tw.TWEvaluator(40)
     grid = np.linspace(cfg["s_lo"], cfg["s_hi"], cfg["s_points"])
     rows = [(float(s), float(f)) for s, f in zip(grid, hz.tw_cdf_extended(ev, grid))]
-    _emit_csv(_out_path(cfg, "tw_cdf.csv"), ("s", "F2"), rows)
+    hz.write_csv(_out_path(cfg, "tw_cdf.csv"), ("s", "F2"), rows)
     print("tabulate-tw: %d points on [%g, %g]"
           % (len(rows), cfg["s_lo"], cfg["s_hi"]))
     return EXIT_PASS
@@ -328,7 +275,7 @@ def cmd_sample(cfg):
     h = rmt.sample_matrix(spec, rmt.sample_stream(spec.seed, 0))[0]
     lam = rmt.descending_eigenvalues(h, spec.seed)
     rows = [(k, float(v)) for k, v in enumerate(lam)]
-    _emit_csv(_out_path(cfg, "spectrum.csv"), ("index", "eigenvalue"), rows)
+    hz.write_csv(_out_path(cfg, "spectrum.csv"), ("index", "eigenvalue"), rows)
     print("sample: n=%d t=%g lambda_max=%.10g" % (spec.n, spec.t, lam[0]))
     return EXIT_PASS
 
@@ -381,7 +328,7 @@ def cmd_decompose_check(cfg):
                       - 1.0 / math.sqrt(1.0 + parts.h_vec[parts.index].real))))
     max_residual = max(worst.values())
     passed = bool(max_residual <= tol)
-    _emit_json(_out_path(cfg, "decomposition.json"),
+    hz.write_json(_out_path(cfg, "decomposition.json"),
                {"n": n, "n_samples": pairs, "tol": tol,
                 "max_residual": max_residual, "residuals": worst,
                 "pass": passed})
@@ -390,17 +337,42 @@ def cmd_decompose_check(cfg):
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-_DISPATCH = {
-    "convolve": cmd_convolve,
-    "edge": cmd_edge,
-    "tabulate-tw": cmd_tabulate_tw,
-    "sample": cmd_sample,
-    "verify-tw": cmd_verify_tw,
-    "verify-local-law": cmd_verify_local_law,
-    "verify-rigidity": cmd_verify_rigidity,
-    "verify-dbm": cmd_verify_dbm,
-    "decompose-check": cmd_decompose_check,
+# command -> (handler, keys in --help order, defaults).  Bare verify
+# commands reproduce the reference experiments, so the GUE control and the
+# uniform-by-uniform comparisons run with no flags at all.
+_COMMANDS = {
+    "convolve": (cmd_convolve,
+                 ("mu1", "mu2", "t", "grid_lo", "grid_hi", "grid_points", "out_dir"),
+                 {"grid_points": 400}),
+    "edge": (cmd_edge, ("mu1", "mu2", "t", "out_dir"), {}),
+    "tabulate-tw": (cmd_tabulate_tw, ("s_lo", "s_hi", "s_points", "out_dir"),
+                    {"s_lo": -10.0, "s_hi": 5.0, "s_points": 151}),
+    "sample": (cmd_sample, ("mu1", "mu2", "t", "n", "seed", "out_dir"), {"n": 400}),
+    "verify-tw": (cmd_verify_tw,
+                  ("mu1", "mu2", "t", "n", "n_samples", "seed", "ks_threshold", "out_dir"),
+                  {"mu1": "point_mass:0", "mu2": "point_mass:0", "t": 1.0, "n": 400,
+                   "n_samples": 2000, "ks_threshold": 0.05}),
+    "verify-local-law": (cmd_verify_local_law,
+                         ("mu1", "mu2", "t", "sizes", "n_samples", "seed", "ks_threshold",
+                          "eta_exponent", "out_dir"),
+                         {"mu1": "uniform:-1,1", "mu2": "uniform:-1,1",
+                          "sizes": (250, 500, 1000), "n_samples": 20,
+                          "eta_exponent": 0.6, "ks_threshold": 0.9}),
+    "verify-rigidity": (cmd_verify_rigidity,
+                        ("mu1", "mu2", "t", "n", "n_samples", "seed", "top_k",
+                         "rigidity_limit", "out_dir"),
+                        {"mu1": "point_mass:0", "mu2": "point_mass:0", "t": 1.0, "n": 1000,
+                         "n_samples": 50, "top_k": 100, "rigidity_limit": 10.0}),
+    "verify-dbm": (cmd_verify_dbm,
+                   ("mu1", "mu2", "t", "n", "n_samples", "seed", "chi", "ks_threshold",
+                    "out_dir"),
+                   {"mu1": "uniform:-1,1", "mu2": "uniform:-1,1", "n": 300,
+                    "n_samples": 1000, "chi": 0.1, "ks_threshold": 0.08}),
+    "decompose-check": (cmd_decompose_check, ("n", "n_samples", "seed", "tol", "out_dir"),
+                        {"n": 64, "n_samples": 50, "tol": 1e-10}),
 }
+
+COMMANDS = tuple(_COMMANDS)
 
 
 def _key_reference():
@@ -421,12 +393,11 @@ def build_parser():
                                        metavar="command")
     flag_kind = {_cast_int: int, _cast_float: float, _cast_str: str,
                  _cast_sizes: str}
-    for name in COMMANDS:
+    for name, (_, keys, _) in _COMMANDS.items():
         p = subparsers.add_parser(name, help="run %s" % name,
-                                  description="Keys: %s"
-                                  % ", ".join(_COMMAND_KEYS[name]))
+                                  description="Keys: %s" % ", ".join(keys))
         p.add_argument("--config", help="flat-key JSON config file")
-        for key in _COMMAND_KEYS[name]:
+        for key in keys:
             caster, text = _KEY_SPECS[key]
             p.add_argument("--%s" % key.replace("_", "-"),
                            dest=key, type=flag_kind[caster], default=None,
@@ -443,13 +414,10 @@ def main(argv=None):
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _DISPATCH[command](cfg)
+        return _COMMANDS[command][0](cfg)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERICAL
     except _NUMERICAL_ERRORS as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL

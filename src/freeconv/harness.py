@@ -19,6 +19,8 @@ Each experiment maps one per-sample function of (spec, ..., k) over its
 samples and reduces the results in index order.  Sample k draws only from
 the stream (seed, k), so a large run can compute its samples in worker
 processes (see _map), and the worker count changes no output.
+
+write_json and write_csv write every file freeconv emits.
 """
 
 import csv
@@ -376,22 +378,26 @@ def run_dbm_comparison(cfg, t0=None):
                    extra_echo={"t0": float(t0)})
 
 
-def write_report(report, json_path=None, csv_path=None):
-    """JSON with stable key order; CSV record rows at 17 significant digits."""
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    if csv_path is not None and report.records:
+def write_json(path, payload):
+    """payload as JSON: sorted keys, indent 2, trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def write_csv(path, header, rows):
+    """header, then rows; a float cell at 17 significant digits, any other by str."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["%.17g" % cell if isinstance(cell, float) else str(cell)
+                             for cell in row])
+
+
+def write_report(report, json_path, csv_path):
+    """The report as JSON, and its records, if any, as CSV."""
+    write_json(json_path, report.to_json_dict())
+    if report.records:
         names = list(report.records[0])
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            for row in report.records:
-                writer.writerow([_format_cell(row[name]) for name in names])
-
-
-def _format_cell(value):
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
+        write_csv(csv_path, names, ([row[name] for name in names] for row in report.records))
