@@ -157,6 +157,8 @@ def resolve_config(command, args):
 
     if "t" in merged and merged["t"] < 0:
         raise ConfigError("t must be >= 0")
+    if "seed" in merged and not rmt.SEED_LO <= merged["seed"] < rmt.SEED_HI:
+        raise ConfigError("seed must lie in [-2^63, 2^63)")
     for key in ("n", "n_samples", "top_k"):
         if key in merged and merged[key] < 1:
             raise ConfigError("%s must be >= 1" % key)
@@ -247,7 +249,7 @@ def cmd_convolve(cfg):
     # a failed point has no density, so with one the integral means nothing
     integral = "" if failed else " integral=%.6f" % float(np.trapezoid(rho, grid))
     hz.write_csv(_out_path(cfg, "density.csv"), ("x", "density"),
-              [(float(x), float(r)) for x, r in zip(grid, rho)])
+                 [(float(x), float(r)) for x, r in zip(grid, rho)])
     hz.write_json(_out_path(cfg, "edge.json"), rep.as_record())
     print("convolve: e_plus=%.10g%s grid=%d failed=%d "
           "iterations=%d max_residual=%.3e"
@@ -329,9 +331,9 @@ def cmd_decompose_check(cfg):
     max_residual = max(worst.values())
     passed = bool(max_residual <= tol)
     hz.write_json(_out_path(cfg, "decomposition.json"),
-               {"n": n, "n_samples": pairs, "tol": tol,
-                "max_residual": max_residual, "residuals": worst,
-                "pass": passed})
+                  {"n": n, "n_samples": pairs, "tol": tol,
+                   "max_residual": max_residual, "residuals": worst,
+                   "pass": passed})
     print("decompose-check: %s max_residual=%.3e tol=%.1e pairs=%d"
           % ("PASS" if passed else "FAIL", max_residual, tol, pairs))
     return EXIT_PASS if passed else EXIT_FAIL

@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ValueError("ks_threshold must lie in (0, 1)")
         if not 0.0 < self.chi < 1.0 / 3.0:
             raise ValueError("chi must lie in (0, 1/3)")
+        if not 0.0 < self.eta_exponent < 1.0:
+            raise ValueError("eta_exponent must lie in (0, 1)")
         if self.ensemble.t != self.t:
             raise ValueError("ensemble time and theory time must agree")
         if self.top_k < 1:
@@ -126,8 +128,8 @@ def tw_cdf_extended(ev, s):
     rejected by tw2_cdf, since it lies in neither tail.
     """
     arr = np.asarray(s, dtype=float)
-    f = np.where(arr > 8.0, 1.0, 0.0)
-    inside = ~((arr < -12.0) | (arr > 8.0))
+    f = np.where(arr > tw.S_HI, 1.0, 0.0)
+    inside = ~((arr < tw.S_LO) | (arr > tw.S_HI))
     f[inside] = tw.tw2_cdf(ev, arr[inside])
     return float(f) if np.ndim(s) == 0 else f
 

@@ -32,8 +32,16 @@ class DegenerateError(RuntimeError):
     """Raised when the decomposition reflection vector cannot be normalized."""
 
 
+# Seeds lie in [SEED_LO, SEED_HI), the int64 range.  numpy reads a Philox key
+# list holding a larger int as float64, so larger seeds would share a stream;
+# beyond the uint64 range the key overflows.
+SEED_LO, SEED_HI = -2 ** 63, 2 ** 63
+
+
 def sample_stream(master_seed, sample_index):
     """Counter-based generator for one sample, splittable by index."""
+    if not SEED_LO <= master_seed < SEED_HI:
+        raise ValueError("seed must lie in [-2^63, 2^63), got %r" % (master_seed,))
     return np.random.Generator(np.random.Philox(key=[master_seed, sample_index]))
 
 

@@ -34,6 +34,9 @@ _SEAM_LEFT = -6.7
 _CHUNK = 64
 # Length of the truncated integration domain (s, s + _L].
 _L = 14.0
+# The window [S_LO, S_HI] on which tw2_cdf evaluates F2.  Beyond it F2 is
+# 0 or 1 to below 1e-13, which tw2_moments and harness.tw_cdf_extended use.
+S_LO, S_HI = -12.0, 8.0
 
 
 def _airy_series(x):
@@ -186,8 +189,8 @@ def tw2_cdf(ev, s):
     has its shape); every s must lie in [-12, 8].
     """
     arr = np.asarray(s, dtype=float)
-    if not np.all((arr >= -12.0) & (arr <= 8.0)):
-        raise ValueError("s must lie in [-12, 8]")
+    if not np.all((arr >= S_LO) & (arr <= S_HI)):
+        raise ValueError("s must lie in [%g, %g]" % (S_LO, S_HI))
     flat = arr.reshape(-1)
     val = np.empty(flat.size)
     for i in range(0, flat.size, _CHUNK):
@@ -203,8 +206,8 @@ def tw2_moments(ev):
     trapezoid rule on a 0.02-spaced grid, up to tails below 1e-13.
     """
     step = 0.02
-    neg = np.arange(-12.0, 0.0 + 0.5 * step, step)
-    pos = np.arange(0.0, 8.0 + 0.5 * step, step)
+    neg = np.arange(S_LO, 0.0 + 0.5 * step, step)
+    pos = np.arange(0.0, S_HI + 0.5 * step, step)
     f = tw2_cdf(ev, np.concatenate([neg, pos]))
     f_neg, f_pos = f[:neg.size], f[neg.size:]
     mean = float(np.trapezoid(1.0 - f_pos, pos) - np.trapezoid(f_neg, neg))

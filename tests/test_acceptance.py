@@ -298,6 +298,24 @@ def test_edge_law_gates_reject_wrong_theories(gue_control_run, main_theorem_repo
         assert ks > dbm_report.threshold
 
 
+def test_rigidity_gate_rejects_wrong_scale(monkeypatch):
+    # Criterion 9 rerun against classical locations at the wrong edge scale
+    # 0.85 gamma, E_+ + (gamma_j - E_+) / 0.85: its limit must reject them.
+    # A wrong E_+ is invisible below about 1.5 / (gamma N^(2/3)) (README).
+    cfg = _gue_control_config(1000, 50, 91, top_k=100, rigidity_limit=10.0)
+    e_plus = eg.find_edge_stability(cfg.mu1, cfg.mu2, cfg.t).e_plus
+    right = eg.classical_locations
+
+    def wrong(*args):
+        return e_plus + (right(*args) - e_plus) / 0.85
+
+    monkeypatch.setattr(hz.eg, "classical_locations", wrong)
+    rep = hz.run_rigidity_experiment(cfg)
+    print("criterion 09 under 0.85 gamma: 95th percentile R = %.3f (must exceed %g)"
+          % (rep.stats["percentile_95"], rep.threshold))
+    assert rep.stats["percentile_95"] > rep.threshold
+
+
 def test_criterion_11_partial_decomposition():
     n, pairs = 64, 50
     eye = np.eye(n)

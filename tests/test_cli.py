@@ -109,6 +109,9 @@ def test_config_errors_exit_2(tmp_path):
                    "--out-dir", str(tmp_path)) == 2, spec
     assert run("verify-rigidity", "--n", "50", "--top-k", "60") == 2
     assert run("verify-local-law", "--eta-exponent", "40") == 2
+    # seeds outside int64 would share Philox streams or overflow the key
+    assert run("verify-tw", "--seed", "9223372036854775808") == 2
+    assert run("verify-tw", "--seed", "-9223372036854775809") == 2
     # non-finite floats stop at the config layer, before any solve
     uu = ("--mu1", "uniform:-1,1", "--mu2", "uniform:-1,1", "--out-dir", str(tmp_path))
     for value in ("nan", "inf"):

@@ -88,6 +88,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         build(chi=1.0 / 3.0)
     with pytest.raises(ValueError):
+        build(eta_exponent=0.0)
+    with pytest.raises(ValueError):
+        build(eta_exponent=1.0)
+    with pytest.raises(ValueError):
         build(t=0.5)
     with pytest.raises(ValueError):
         build(top_k=0)

@@ -20,6 +20,16 @@ def uniform_quantiles(n):
     return -1.0 + (2.0 * np.arange(1, n + 1) - 1.0) / n
 
 
+def test_sample_stream_seed_range():
+    # both ends of the int64 range keep their own stream; beyond it numpy
+    # would read the key as float64, so 2^63 and 2^63 + 5 would share one
+    draws = {rmt.sample_stream(seed, 0).random() for seed in (2 ** 63 - 1, -2 ** 63, -1)}
+    assert len(draws) == 3
+    for seed in (2 ** 63, 2 ** 63 + 5, 2 ** 64, -2 ** 63 - 1):
+        with pytest.raises(ValueError):
+            rmt.sample_stream(seed, 0)
+
+
 def test_haar_scalar_modulus():
     u = rmt.sample_haar_unitary(1, rmt.sample_stream(3, 0))
     assert abs(abs(u[0, 0]) - 1.0) < 1e-14
