@@ -2,9 +2,12 @@
 
 Each command merges three layers (built-in defaults, an optional flat-key
 JSON config file, explicit flags) and validates the result against the keys
-its row of _COMMANDS lists before anything runs.  Files are written by
-harness.write_json and harness.write_csv, with deterministic bytes, so
-reruns under a fixed seed overwrite identically.
+its row of _COMMANDS lists before anything runs.  A verify command's
+experiment settings (ks_threshold, chi, eta_exponent, sizes, top_k >= 1)
+are checked by harness.ExperimentConfig, built before any solve; a value
+it rejects is a config error too.  Files are written by harness.write_json
+and harness.write_csv, with deterministic bytes, so reruns under a fixed
+seed overwrite identically.
 Exit codes: 0 pass, 1 statistical fail, 2 config error, 3 numerical failure.
 """
 
@@ -91,8 +94,9 @@ _KEY_SPECS = {
 
 _COMMON_DEFAULTS = {"t": 0.0, "seed": 1, "out_dir": "."}
 
-# A ConfigError raised while a command runs is caught before these, so a
-# ValueError that gets here came from a solver.
+# A ConfigError raised while a command runs is caught before these, and
+# _experiment_config turns the config's ValueError into one, so a ValueError
+# that gets here came from a solver.
 _NUMERICAL_ERRORS = (ValueError, sub.NonConvergenceError, sub.DomainError,
                      eg.BracketNotFound, eg.FitUnstable,
                      rmt.EigensolverError, rmt.DegenerateError,
@@ -159,7 +163,7 @@ def resolve_config(command, args):
         raise ConfigError("t must be >= 0")
     if "seed" in merged and not rmt.SEED_LO <= merged["seed"] < rmt.SEED_HI:
         raise ConfigError("seed must lie in [-2^63, 2^63)")
-    for key in ("n", "n_samples", "top_k"):
+    for key in ("n", "n_samples"):
         if key in merged and merged[key] < 1:
             raise ConfigError("%s must be >= 1" % key)
     for key in ("grid_points", "s_points"):
@@ -169,21 +173,9 @@ def resolve_config(command, args):
         raise ConfigError("tol must be > 0")
     if "s_lo" in merged and merged["s_lo"] >= merged["s_hi"]:
         raise ConfigError("s_lo must be < s_hi")
-    if "ks_threshold" in merged and not 0.0 < merged["ks_threshold"] < 1.0:
-        raise ConfigError("ks_threshold must lie in (0, 1)")
-    if "chi" in merged and not 0.0 < merged["chi"] < 1.0 / 3.0:
-        raise ConfigError("chi must lie in (0, 1/3)")
-    if "eta_exponent" in merged and not 0.0 < merged["eta_exponent"] < 1.0:
-        raise ConfigError("eta_exponent must lie in (0, 1)")
+    # not in ExperimentConfig: the TW and DBM experiments keep top_k = 100 at small n
     if "top_k" in merged and merged["top_k"] > merged["n"]:
         raise ConfigError("top_k must be <= n")
-    if "sizes" in merged:
-        if len(merged["sizes"]) < 3:
-            raise ConfigError("sizes needs at least three entries")
-        if min(merged["sizes"]) < 1:
-            raise ConfigError("sizes entries must be >= 1")
-        if any(b <= a for a, b in zip(merged["sizes"], merged["sizes"][1:])):
-            raise ConfigError("sizes must be strictly increasing")
     return merged
 
 
@@ -202,14 +194,18 @@ def _embedded_spec(cfg, n=None):
 
 
 def _experiment_config(cfg, n=None, **extra):
-    mu1, mu2, spec = _embedded_spec(cfg, n=n)
-    kwargs = dict(ensemble=spec, n_samples=cfg["n_samples"], mu1=mu1, mu2=mu2,
-                  t=cfg["t"])
-    for key in ("ks_threshold", "eta_exponent", "chi", "top_k", "rigidity_limit"):
-        if key in cfg:
-            kwargs[key] = cfg[key]
-    kwargs.update(extra)
-    return hz.ExperimentConfig(**kwargs)
+    # ExperimentConfig checks the experiment settings: what it rejects is a config error
+    try:
+        mu1, mu2, spec = _embedded_spec(cfg, n=n)
+        kwargs = dict(ensemble=spec, n_samples=cfg["n_samples"], mu1=mu1, mu2=mu2,
+                      t=cfg["t"])
+        for key in ("ks_threshold", "eta_exponent", "chi", "top_k", "rigidity_limit"):
+            if key in cfg:
+                kwargs[key] = cfg[key]
+        kwargs.update(extra)
+        return hz.ExperimentConfig(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def _finish_verify(command, cfg, report):
@@ -236,13 +232,13 @@ def cmd_convolve(cfg):
     mu1 = parse_measure("mu1", cfg["mu1"])
     mu2 = parse_measure("mu2", cfg["mu2"])
     t = cfg["t"]
-    rep = eg.find_edge_stability(mu1, mu2, t)
     s1, s2 = mu1.support(), mu2.support()
     pad = 2.0 * math.sqrt(t) + 0.25
     lo = cfg.get("grid_lo", s1.lower + s2.lower - pad)
     hi = cfg.get("grid_hi", s1.upper + s2.upper + pad)
     if hi <= lo:
         raise ConfigError("grid_lo must be < grid_hi")
+    rep = eg.find_edge_stability(mu1, mu2, t)
     grid = np.linspace(lo, hi, cfg["grid_points"])
     rho, resid, iters = sub.density_sweep(mu1, mu2, t, grid)
     failed = int(np.sum(~np.isfinite(rho)))
@@ -263,9 +259,8 @@ def cmd_convolve(cfg):
 
 
 def cmd_tabulate_tw(cfg):
-    ev = tw.TWEvaluator(40)
     grid = np.linspace(cfg["s_lo"], cfg["s_hi"], cfg["s_points"])
-    rows = [(float(s), float(f)) for s, f in zip(grid, hz.tw_cdf_extended(ev, grid))]
+    rows = [(float(s), float(f)) for s, f in zip(grid, tw.tw2_cdf(tw.TWEvaluator(), grid))]
     hz.write_csv(_out_path(cfg, "tw_cdf.csv"), ("s", "F2"), rows)
     print("tabulate-tw: %d points on [%g, %g]"
           % (len(rows), cfg["s_lo"], cfg["s_hi"]))

@@ -38,10 +38,14 @@ class DegenerateError(RuntimeError):
 SEED_LO, SEED_HI = -2 ** 63, 2 ** 63
 
 
+def _check_seed(seed):
+    if not SEED_LO <= seed < SEED_HI:
+        raise ValueError("seed must lie in [-2^63, 2^63), got %r" % (seed,))
+
+
 def sample_stream(master_seed, sample_index):
     """Counter-based generator for one sample, splittable by index."""
-    if not SEED_LO <= master_seed < SEED_HI:
-        raise ValueError("seed must lie in [-2^63, 2^63), got %r" % (master_seed,))
+    _check_seed(master_seed)
     return np.random.Generator(np.random.Philox(key=[master_seed, sample_index]))
 
 
@@ -58,6 +62,7 @@ class EnsembleSpec:
             raise ValueError("n must be >= 1")
         if not math.isfinite(self.t) or self.t < 0:
             raise ValueError("t must be finite and >= 0")
+        _check_seed(self.seed)
         for name in ("a_diag", "b_diag"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (self.n,):

@@ -34,8 +34,9 @@ _SEAM_LEFT = -6.7
 _CHUNK = 64
 # Length of the truncated integration domain (s, s + _L].
 _L = 14.0
-# The window [S_LO, S_HI] on which tw2_cdf evaluates F2.  Beyond it F2 is
-# 0 or 1 to below 1e-13, which tw2_moments and harness.tw_cdf_extended use.
+# The window [S_LO, S_HI] on which tw2_cdf evaluates the determinant.  Beyond
+# it F2 is 0 or 1 to below 1e-13: tw2_cdf returns those values there, and
+# tw2_moments integrates over the window only.
 S_LO, S_HI = -12.0, 8.0
 
 
@@ -183,19 +184,22 @@ def _fredholm_det(ev, s):
 
 
 def tw2_cdf(ev, s):
-    """F2(s) = det(I - K_Airy on (s, inf)), clipped into [0, 1].
+    """F2(s) on the whole line; NaN is rejected.
 
-    s is a scalar (the result is a Python float) or an array (the result
-    has its shape); every s must lie in [-12, 8].
+    In [S_LO, S_HI], F2(s) = det(I - K_Airy on (s, inf)) clipped into
+    [0, 1]; below the window it is 0.0 and above it 1.0.  s is a scalar
+    (the result is a Python float) or an array (the result has its shape).
     """
     arr = np.asarray(s, dtype=float)
-    if not np.all((arr >= S_LO) & (arr <= S_HI)):
-        raise ValueError("s must lie in [%g, %g]" % (S_LO, S_HI))
+    if np.isnan(arr).any():
+        raise ValueError("s must not be NaN")
     flat = arr.reshape(-1)
-    val = np.empty(flat.size)
-    for i in range(0, flat.size, _CHUNK):
-        val[i:i + _CHUNK] = _fredholm_det(ev, flat[i:i + _CHUNK])
-    return _scalar_or_array(s, np.clip(val, 0.0, 1.0).reshape(arr.shape))
+    val = np.where(flat > S_HI, 1.0, 0.0)
+    inside = np.flatnonzero((flat >= S_LO) & (flat <= S_HI))
+    for i in range(0, inside.size, _CHUNK):
+        idx = inside[i:i + _CHUNK]
+        val[idx] = np.clip(_fredholm_det(ev, flat[idx]), 0.0, 1.0)
+    return _scalar_or_array(s, val.reshape(arr.shape))
 
 
 def tw2_moments(ev):

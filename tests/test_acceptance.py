@@ -287,7 +287,7 @@ def test_edge_law_gates_reject_wrong_theories(gue_control_run, main_theorem_repo
     for name, wrong in WRONG_THEORIES:
         for num, rep in ((6, gue_control_run[0]), (7, main_theorem_report)):
             ks = hz.ks_statistic(wrong(column(rep, "value")),
-                                 lambda s: hz.tw_cdf_extended(ev, s))
+                                 lambda s: tw.tw2_cdf(ev, s))
             print("criterion %02d under %s: KS = %.4f (must exceed %g)"
                   % (num, name, ks, rep.threshold))
             assert ks > rep.threshold

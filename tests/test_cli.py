@@ -109,6 +109,9 @@ def test_config_errors_exit_2(tmp_path):
                    "--out-dir", str(tmp_path)) == 2, spec
     assert run("verify-rigidity", "--n", "50", "--top-k", "60") == 2
     assert run("verify-local-law", "--eta-exponent", "40") == 2
+    # experiment settings are checked by ExperimentConfig, as config errors
+    assert run("verify-local-law", "--sizes", "0,1,2") == 2
+    assert run("verify-rigidity", "--top-k", "0") == 2
     # seeds outside int64 would share Philox streams or overflow the key
     assert run("verify-tw", "--seed", "9223372036854775808") == 2
     assert run("verify-tw", "--seed", "-9223372036854775809") == 2
@@ -120,6 +123,9 @@ def test_config_errors_exit_2(tmp_path):
     assert run("verify-tw", "--t", "nan") == 2
     assert run("convolve", *uu, "--grid-lo", "nan", "--grid-points", "4") == 2
     assert run("convolve", *uu, "--grid-hi", "inf", "--grid-points", "4") == 2
+    # a reversed grid is a config error even where the edge solve would fail
+    assert run("convolve", "--mu1", "point_mass:0", "--mu2", "point_mass:0",
+               "--grid-lo", "1", "--grid-hi", "0", "--out-dir", str(tmp_path)) == 2
     bad = tmp_path / "bad.json"
     bad.write_text('{"t": NaN}')
     assert run("edge", *uu, "--config", str(bad)) == 2

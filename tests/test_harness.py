@@ -95,16 +95,19 @@ def test_config_validation():
         build(t=0.5)
     with pytest.raises(ValueError):
         build(top_k=0)
+    for sizes in [(100, 200), (80, 60, 40), (40, 40, 60), (0, 1, 2)]:
+        with pytest.raises(ValueError):
+            build(sizes=sizes)
 
 
 def test_report_flag_must_match_statistic():
     kw = dict(tag="x", n_samples=1, threshold=0.5, config={}, stats={},
               records=())
-    hz.ExperimentReport(ks_statistic=0.4, passed=True, **kw)
+    assert hz.ExperimentReport(ks_statistic=0.4, **kw).passed is True
+    assert hz.ExperimentReport(ks_statistic=0.5, **kw).passed is True
+    assert hz.ExperimentReport(ks_statistic=0.6, **kw).passed is False
     with pytest.raises(ValueError):
-        hz.ExperimentReport(ks_statistic=0.6, passed=True, **kw)
-    with pytest.raises(ValueError):
-        hz.ExperimentReport(ks_statistic=-0.1, passed=False, **kw)
+        hz.ExperimentReport(ks_statistic=-0.1, **kw)
 
 
 # --- Tracy-Widom experiment ---
@@ -115,21 +118,8 @@ def test_tw_single_sample_ks_formula():
     rep = hz.run_tw_experiment(cfg)
     x = rep.records[0]["value"]
     ev = tw.TWEvaluator(40)
-    f = hz.tw_cdf_extended(ev, x)
+    f = tw.tw2_cdf(ev, x)
     assert abs(rep.ks_statistic - max(f, 1.0 - f)) < 1e-15
-
-
-def test_tw_cdf_extended_tails():
-    ev = tw.TWEvaluator(40)
-    s = np.array([-13.0, -12.0, -1.0, 8.0, 9.0])
-    f = hz.tw_cdf_extended(ev, s)
-    assert f[0] == 0.0 and f[4] == 1.0
-    assert np.array_equal(f[1:4], tw.tw2_cdf(ev, s[1:4]))
-    assert hz.tw_cdf_extended(ev, -13.0) == 0.0
-    assert hz.tw_cdf_extended(ev, 9.0) == 1.0
-    for bad in (math.nan, np.array([0.0, math.nan])):
-        with pytest.raises(ValueError):
-            hz.tw_cdf_extended(ev, bad)
 
 
 def test_tw_gue_control_small():
@@ -263,9 +253,10 @@ def test_local_law_needs_three_sizes():
     # the decay ratio reads the largest size over the smallest, so the sizes
     # must also increase strictly
     for sizes in [(100, 200), (80, 60, 40), (40, 40, 60)]:
-        cfg = gue_control_config(40, 1, 2, sizes=sizes)
         with pytest.raises(ValueError):
-            hz.run_local_law_experiment(cfg)
+            gue_control_config(40, 1, 2, sizes=sizes)
+    with pytest.raises(ValueError):
+        hz.run_local_law_experiment(gue_control_config(40, 1, 2))
 
 
 def test_local_law_report_structure():

@@ -259,6 +259,11 @@ def test_spec_validation():
     for t in (np.nan, np.inf):
         with pytest.raises(ValueError):
             rmt.EnsembleSpec(4, np.zeros(4), np.linspace(0.0, 1.0, 4), t, 1)
+    # seeds outside int64 fail here, not at the first draw
+    for seed in (2 ** 63, -2 ** 63 - 1):
+        with pytest.raises(ValueError):
+            rmt.EnsembleSpec(3, np.zeros(3), np.zeros(3), 0.0, seed)
+    rmt.EnsembleSpec(3, np.zeros(3), np.zeros(3), 0.0, 2 ** 63 - 1)
 
 
 def test_resolvent_diagonal_exact():

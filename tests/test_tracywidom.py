@@ -131,13 +131,27 @@ def test_cdf_monotone_and_bounded(ev):
 
 
 def test_cdf_domain_rejected(ev):
+    # outside the window F2 saturates; only NaN lies in neither tail
+    assert tw.tw2_cdf(ev, -13.0) == 0.0
+    assert tw.tw2_cdf(ev, 9.0) == 1.0
+    for bad, value in ((-13.0, 0.0), (9.0, 1.0)):
+        f = tw.tw2_cdf(ev, np.array([-2.0, bad, 0.5]))
+        assert f[1] == value
     with pytest.raises(ValueError):
-        tw.tw2_cdf(ev, -13.0)
+        tw.tw2_cdf(ev, math.nan)
     with pytest.raises(ValueError):
-        tw.tw2_cdf(ev, 9.0)
-    for bad in (-13.0, 9.0, math.nan):
+        tw.tw2_cdf(ev, np.array([-2.0, math.nan, 0.5]))
+
+
+def test_cdf_whole_line_batch(ev):
+    # a batch straddling both window ends equals its per-point values
+    s = np.array([-13.0, -12.0, -1.0, 8.0, 9.0, -math.inf, math.inf])
+    f = tw.tw2_cdf(ev, s)
+    assert np.array_equal(f, [tw.tw2_cdf(ev, float(v)) for v in s])
+    assert f[0] == 0.0 and f[4] == 1.0 and f[5] == 0.0 and f[6] == 1.0
+    for bad in (math.nan, np.array([0.0, math.nan])):
         with pytest.raises(ValueError):
-            tw.tw2_cdf(ev, np.array([-2.0, bad, 0.5]))
+            tw.tw2_cdf(ev, bad)
 
 
 def test_cdf_batch_matches_single_points(ev):
