@@ -3,15 +3,16 @@
 Each command merges three layers (built-in defaults, an optional flat-key
 JSON config file, explicit flags) and validates the result against the keys
 its row of _COMMANDS lists before anything runs.  A verify command's
-experiment settings (ks_threshold, chi, eta_exponent, sizes, top_k >= 1)
-are checked by harness.ExperimentConfig, built before any solve; a value
-it rejects is a config error too.  Files are written by harness.write_json
-and harness.write_csv, with deterministic bytes, so reruns under a fixed
-seed overwrite identically.
+experiment settings (ks_threshold, chi, eta_exponent, sizes, top_k >= 1,
+rigidity_limit > 0) are checked by harness.ExperimentConfig, built before
+any solve; a value it rejects is a config error too.  Files are written by
+harness.write_json and harness.write_csv, with deterministic bytes, so
+reruns under a fixed seed overwrite identically.
 Exit codes: 0 pass, 1 statistical fail, 2 config error, 3 numerical failure.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -184,25 +185,26 @@ def _out_path(cfg, name):
     return os.path.join(cfg["out_dir"], name)
 
 
-def _embedded_spec(cfg, n=None):
-    n = cfg["n"] if n is None else n
+def _embedded_spec(cfg):
     mu1 = parse_measure("mu1", cfg["mu1"])
     mu2 = parse_measure("mu2", cfg["mu2"])
+    # a local-law run draws at its largest size: check its sizes before that
+    n = max(hz.check_sizes(cfg["sizes"])) if "sizes" in cfg else cfg["n"]
     spec = rmt.EnsembleSpec(n, ms.quantiles(mu1, n), ms.quantiles(mu2, n),
                             cfg["t"], cfg["seed"])
     return mu1, mu2, spec
 
 
-def _experiment_config(cfg, n=None, **extra):
+def _experiment_config(cfg):
     # ExperimentConfig checks the experiment settings: what it rejects is a config error
     try:
-        mu1, mu2, spec = _embedded_spec(cfg, n=n)
+        mu1, mu2, spec = _embedded_spec(cfg)
         kwargs = dict(ensemble=spec, n_samples=cfg["n_samples"], mu1=mu1, mu2=mu2,
                       t=cfg["t"])
-        for key in ("ks_threshold", "eta_exponent", "chi", "top_k", "rigidity_limit"):
+        for key in ("ks_threshold", "eta_exponent", "chi", "sizes", "top_k",
+                    "rigidity_limit"):
             if key in cfg:
                 kwargs[key] = cfg[key]
-        kwargs.update(extra)
         return hz.ExperimentConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -222,7 +224,7 @@ def cmd_edge(cfg):
     mu1 = parse_measure("mu1", cfg["mu1"])
     mu2 = parse_measure("mu2", cfg["mu2"])
     rep = eg.find_edge_stability(mu1, mu2, cfg["t"])
-    hz.write_json(_out_path(cfg, "edge.json"), rep.as_record())
+    hz.write_json(_out_path(cfg, "edge.json"), dataclasses.asdict(rep))
     print("edge: e_plus=%.10g gamma=%.10g method=%s residual=%.3g"
           % (rep.e_plus, rep.gamma, rep.method, rep.residual))
     return EXIT_PASS
@@ -246,7 +248,7 @@ def cmd_convolve(cfg):
     integral = "" if failed else " integral=%.6f" % float(np.trapezoid(rho, grid))
     hz.write_csv(_out_path(cfg, "density.csv"), ("x", "density"),
                  [(float(x), float(r)) for x, r in zip(grid, rho)])
-    hz.write_json(_out_path(cfg, "edge.json"), rep.as_record())
+    hz.write_json(_out_path(cfg, "edge.json"), dataclasses.asdict(rep))
     print("convolve: e_plus=%.10g%s grid=%d failed=%d "
           "iterations=%d max_residual=%.3e"
           % (rep.e_plus, integral, len(grid), failed, int(iters.sum()),
@@ -283,9 +285,7 @@ def cmd_verify_tw(cfg):
 
 
 def cmd_verify_local_law(cfg):
-    sizes = cfg["sizes"]
-    exp = _experiment_config(cfg, n=max(sizes), sizes=sizes)
-    report = hz.run_local_law_experiment(exp)
+    report = hz.run_local_law_experiment(_experiment_config(cfg))
     medians = " ".join("%.6g" % m for m in report.stats["entry_medians"])
     print("entry medians per size: %s" % medians)
     return _finish_verify("verify-local-law", cfg, report)

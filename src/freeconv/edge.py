@@ -28,7 +28,7 @@ with xi the rightmost solution of m'_{mu0}(xi) = 1/t, mu0 the other factor.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -57,10 +57,6 @@ class EdgeReport:
     scaled_edge: float
     method: str
     residual: float
-
-    def as_record(self):
-        """Flat dict with JSON-friendly values."""
-        return asdict(self)
 
 
 def _real_f(mu, t, x, k=0):

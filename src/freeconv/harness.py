@@ -26,6 +26,7 @@ write_json and write_csv write every file freeconv emits.
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -36,6 +37,22 @@ from . import measure as ms
 from . import rmt
 from . import subordination as sub
 from . import tracywidom as tw
+
+
+def check_sizes(sizes):
+    """sizes as a tuple of int; ValueError unless they are at least three
+    integers >= 1, strictly increasing.  The local-law decay ratio reads
+    the largest size over the smallest."""
+    if not all(isinstance(n, numbers.Integral) for n in sizes):
+        raise ValueError("sizes entries must be integers")
+    sizes = tuple(int(n) for n in sizes)
+    if len(sizes) < 3:
+        raise ValueError("sizes needs at least three entries")
+    if min(sizes) < 1:
+        raise ValueError("sizes entries must be >= 1")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be strictly increasing")
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -65,15 +82,11 @@ class ExperimentConfig:
             raise ValueError("ensemble time and theory time must agree")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        # the local-law decay ratio reads the largest size over the smallest
-        if self.sizes:
-            if len(self.sizes) < 3:
-                raise ValueError("sizes needs at least three entries")
-            if min(self.sizes) < 1:
-                raise ValueError("sizes entries must be >= 1")
-            if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-                raise ValueError("sizes must be strictly increasing")
+        # the statistic is >= 0, so a limit <= 0 could never be met
+        if not (math.isfinite(self.rigidity_limit) and self.rigidity_limit > 0):
+            raise ValueError("rigidity_limit must be finite and > 0")
+        # no sizes: the config is for another experiment than the local law
+        object.__setattr__(self, "sizes", check_sizes(self.sizes) if len(self.sizes) else ())
 
 
 @dataclass(frozen=True)
@@ -131,32 +144,30 @@ def ks_statistic(samples, cdf_or_samples):
 
 
 def _measure_echo(mu):
+    """The family and the parameters from_config takes to rebuild mu."""
+    if mu.family == "atoms":
+        return {"family": "atoms", "params": [mu.locations.tolist(), mu.weights.tolist()]}
     return {"family": mu.family, "params": list(mu.params)}
 
 
-def _config_echo(cfg, **extra):
-    echo = {
-        "n": cfg.ensemble.n,
-        "seed": cfg.ensemble.seed,
-        "t": cfg.t,
-        "n_samples": cfg.n_samples,
-        "mu1": _measure_echo(cfg.mu1),
-        "mu2": _measure_echo(cfg.mu2),
-        "ks_threshold": cfg.ks_threshold,
-        "eta_exponent": cfg.eta_exponent,
-        "chi": cfg.chi,
-    }
-    echo.update(extra)
-    return echo
-
-
-def _report(tag, cfg, statistic, threshold, stats, records, extra_echo=None):
+def _report(tag, cfg, statistic, threshold, stats, records, **echo):
     return ExperimentReport(
         tag=tag,
         n_samples=cfg.n_samples,
         ks_statistic=float(statistic),
         threshold=float(threshold),
-        config=_config_echo(cfg, **(extra_echo or {})),
+        config={
+            "n": cfg.ensemble.n,
+            "seed": cfg.ensemble.seed,
+            "t": cfg.t,
+            "n_samples": cfg.n_samples,
+            "mu1": _measure_echo(cfg.mu1),
+            "mu2": _measure_echo(cfg.mu2),
+            "ks_threshold": cfg.ks_threshold,
+            "eta_exponent": cfg.eta_exponent,
+            "chi": cfg.chi,
+            **echo,
+        },
         stats=stats,
         records=tuple(records),
     )
@@ -229,6 +240,11 @@ def _top_sample(spec, t0, k):
     h = h + math.sqrt(t0) * rmt.sample_gue(spec.n, rng)
     lam1, fell_back1 = rmt.top_eigenvalue(h, spec.seed)
     return lam0, lam1, fell_back + fell_back1
+
+
+# _local_law_sample returns these, in this order, and then the entry-local
+# error, which is gated rather than recorded
+_LOCAL_LAW_COLUMNS = ("entry_error", "avg_error", "upsilon", "subordination_error")
 
 
 def _local_law_sample(spec, z, omega, k):
@@ -311,25 +327,18 @@ def run_local_law_experiment(cfg):
     medians = []
     for i, n in enumerate(cfg.sizes):
         block = rows[i * cfg.n_samples:(i + 1) * cfg.n_samples]
-        entry, avg, ups, subord, local = (np.array(col) for col in zip(*block))
-        per_size[n] = {
-            "median_entry_error": float(np.median(entry)),
-            "median_avg_error": float(np.median(avg)),
-            "median_upsilon": float(np.median(ups)),
-            "median_subordination_error": float(np.median(subord)),
-        }
-        for k in range(cfg.n_samples):
-            records.append({"size": n, "sample_index": k,
-                            "entry_error": float(entry[k]),
-                            "avg_error": float(avg[k]),
-                            "upsilon": float(ups[k]),
-                            "subordination_error": float(subord[k])})
+        *recorded, local = zip(*block)
+        per_size[str(n)] = {"median_" + name: float(np.median(column))
+                            for name, column in zip(_LOCAL_LAW_COLUMNS, recorded)}
+        for k, row in enumerate(block):
+            values = dict(zip(_LOCAL_LAW_COLUMNS, map(float, row)))
+            records.append({"size": n, "sample_index": k, **values})
         medians.append(float(np.median(local)))
     ratio = medians[-1] / medians[0]
-    stats = {"e_plus": edge_rep.e_plus, "per_size": {str(n): per_size[n] for n in cfg.sizes},
+    stats = {"e_plus": edge_rep.e_plus, "per_size": per_size,
              "entry_medians": medians, "decay_ratio": ratio}
     return _report("local-law", cfg, ratio, cfg.ks_threshold, stats, records,
-                   extra_echo={"sizes": list(cfg.sizes)})
+                   sizes=list(cfg.sizes))
 
 
 def run_rigidity_experiment(cfg):
@@ -344,7 +353,7 @@ def run_rigidity_experiment(cfg):
              "median_r": float(np.median(rs)), "top_k": cfg.top_k}
     records = [{"sample_index": k, "value": float(v)} for k, v in enumerate(rs)]
     return _report("rigidity", cfg, pct, cfg.rigidity_limit, stats, records,
-                   extra_echo={"top_k": cfg.top_k, "rigidity_limit": cfg.rigidity_limit})
+                   top_k=cfg.top_k, rigidity_limit=cfg.rigidity_limit)
 
 
 def run_dbm_comparison(cfg, t0=None):
@@ -369,8 +378,7 @@ def run_dbm_comparison(cfg, t0=None):
              "dense_fallbacks": sum(fallbacks)}
     records = [{"sample_index": k, "value": float(a), "value_flowed": float(b)}
                for k, (a, b) in enumerate(zip(x0, x1))]
-    return _report("dbm", cfg, ks, cfg.ks_threshold, stats, records,
-                   extra_echo={"t0": float(t0)})
+    return _report("dbm", cfg, ks, cfg.ks_threshold, stats, records, t0=float(t0))
 
 
 def write_json(path, payload):

@@ -53,8 +53,8 @@ class Measure:
         for name, arr in (("locations", locations), ("weights", weights)):
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise ValueError("%s %s must be finite" % (family, name))
-        self._locations = locations
-        self._weights = weights
+        self.locations = locations
+        self.weights = weights
         self._support = self._compute_support()
 
     def _compute_support(self):
@@ -65,22 +65,14 @@ class Measure:
         if self.family in ("uniform", "arcsine"):
             a, b = self.params
             return SupportInfo(a, b)
-        return SupportInfo(float(self._locations[0]), float(self._locations[-1]))
+        return SupportInfo(float(self.locations[0]), float(self.locations[-1]))
 
     def support(self):
         return self._support
 
-    @property
-    def locations(self):
-        return self._locations
-
-    @property
-    def weights(self):
-        return self._weights
-
     def __repr__(self):
         if self.family == "atoms":
-            return "Measure(atoms, n=%d)" % len(self._locations)
+            return "Measure(atoms, n=%d)" % len(self.locations)
         return "Measure(%s%r)" % (self.family, self.params)
 
 

@@ -53,7 +53,6 @@ class SubordinationSolution:
     m: complex
     residual: float
     iterations: int
-    converged: bool
 
 
 def f_transform(mu, t, z, k=0):
@@ -126,8 +125,7 @@ def solve(mu1, mu2, t, z, max_iter=100000, omega2_init=None):
     p1 = f_transform(mu1, t, w1) - w1 - w2 + z
     p2 = f_transform(mu2, t, w2) - w1 - w2 + z
     res = max(abs(p1), abs(p2))
-    return SubordinationSolution(omega1=w1, omega2=w2, m=m1, residual=res,
-                                 iterations=it, converged=res <= _TOL)
+    return SubordinationSolution(omega1=w1, omega2=w2, m=m1, residual=res, iterations=it)
 
 
 def density_sweep(mu1, mu2, t, grid, eta_seq=(1e-3, 5e-4)):

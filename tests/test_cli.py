@@ -94,7 +94,7 @@ def test_verify_tw_pass_and_fail(tmp_path):
     assert rec["pass"] is False
 
 
-def test_config_errors_exit_2(tmp_path):
+def test_config_errors_exit_2(tmp_path, capsys):
     assert run("verify-tw", "--n-samples", "0") == 2
     assert run("edge", "--mu1", "nosuch:1", "--mu2", "semicircle:1",
                "--out-dir", str(tmp_path)) == 2
@@ -112,6 +112,11 @@ def test_config_errors_exit_2(tmp_path):
     # experiment settings are checked by ExperimentConfig, as config errors
     assert run("verify-local-law", "--sizes", "0,1,2") == 2
     assert run("verify-rigidity", "--top-k", "0") == 2
+    assert run("verify-rigidity", "--rigidity-limit", "-1") == 2
+    # the quantiles are built at max(sizes), so the sizes rule runs before them
+    capsys.readouterr()
+    assert run("verify-local-law", "--sizes=-3,-2,-1") == 2
+    assert "sizes entries must be >= 1" in capsys.readouterr().err
     # seeds outside int64 would share Philox streams or overflow the key
     assert run("verify-tw", "--seed", "9223372036854775808") == 2
     assert run("verify-tw", "--seed", "-9223372036854775809") == 2

@@ -1,5 +1,6 @@
 """Edge location, edge scale, classical locations, stability at the edge."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -333,7 +334,7 @@ def test_edge_report_frozen_on_reference_cases(case):
 
 def test_edge_report_record_shape():
     rep = sc_edge()
-    rec = rep.as_record()
+    rec = dataclasses.asdict(rep)
     assert set(rec) == {
         "e_plus", "xi", "gamma", "omega1_edge", "omega2_edge",
         "scaled_edge", "method", "residual",
@@ -343,7 +344,7 @@ def test_edge_report_record_shape():
 
 def test_edge_report_fields_are_python_floats():
     # np.float64 subclasses float, so check the exact type
-    rec = eg.find_edge_stability(ms.semicircle(1.0), ms.point_mass(0.7), 0.25).as_record()
+    rec = dataclasses.asdict(eg.find_edge_stability(ms.semicircle(1.0), ms.point_mass(0.7), 0.25))
     for key, value in rec.items():
         if key != "method":
             assert type(value) is float, key

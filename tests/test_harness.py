@@ -95,9 +95,28 @@ def test_config_validation():
         build(t=0.5)
     with pytest.raises(ValueError):
         build(top_k=0)
-    for sizes in [(100, 200), (80, 60, 40), (40, 40, 60), (0, 1, 2)]:
+    for limit in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            build(rigidity_limit=limit)
+    for sizes in [(100, 200), (80, 60, 40), (40, 40, 60), (0, 1, 2), (100.9, 200, 400)]:
         with pytest.raises(ValueError):
             build(sizes=sizes)
+    assert build(sizes=np.array([40, 60, 80])).sizes == (40, 60, 80)
+
+
+def test_atoms_echo_round_trips():
+    # the config echo of an atoms measure is the [locations, weights] that
+    # from_config takes, so runs on different atoms echo differently
+    rng = np.random.default_rng(3)
+    locs = np.sort(rng.normal(size=7))
+    mus = [ms.atoms(locs, w / w.sum()) for w in (rng.random(7), rng.random(7))]
+    echoes = [json.loads(json.dumps(hz._measure_echo(mu))) for mu in mus]
+    assert echoes[0] != echoes[1]
+    for mu, echo in zip(mus, echoes):
+        assert echo["family"] == "atoms"
+        back = ms.from_config("atoms", echo["params"])
+        assert np.array_equal(back.locations, mu.locations)
+        np.testing.assert_allclose(back.weights, mu.weights, rtol=1e-14, atol=0.0)
 
 
 def test_report_flag_must_match_statistic():
@@ -274,6 +293,8 @@ def test_local_law_report_structure():
     medians = rep.stats["entry_medians"]
     assert rep.stats["decay_ratio"] == medians[-1] / medians[0]
     assert len(rep.records) == 12
+    assert list(rep.records[0]) == ["size", "sample_index", "entry_error", "avg_error",
+                                    "upsilon", "subordination_error"]
     assert rep.config["sizes"] == [40, 60, 80]
     # averaging over the diagonal can never exceed the worst entry
     for row in rep.records:

@@ -101,18 +101,6 @@ def test_assemble_a_zero_similarity():
     assert np.max(np.abs(lam - np.sort(b)[::-1])) < 1e-10
 
 
-def test_assemble_bernoulli_arcsine():
-    # Bernoulli(+-1) plus Bernoulli(+-1) free convolution is the arcsine
-    # law on [-2, 2]; one sample at N=2000 against its closed-form CDF.
-    n = 2000
-    half = np.concatenate([-np.ones(n // 2), np.ones(n // 2)])
-    lam = np.sort(_spectrum(rmt.EnsembleSpec(n, half, half, 0.0, 7)))
-    theory = 0.5 + np.arcsin(np.clip(lam / 2.0, -1.0, 1.0)) / math.pi
-    ranks = np.arange(1, n + 1) / n
-    sup = np.max(np.maximum(np.abs(theory - ranks), np.abs(theory - (ranks - 1.0 / n))))
-    assert sup <= 0.03
-
-
 def test_assemble_reproducible():
     spec = rmt.EnsembleSpec(40, np.zeros(40), np.ones(40), 0.5, 99)
     assert np.array_equal(_spectrum(spec), _spectrum(spec))
