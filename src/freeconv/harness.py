@@ -70,6 +70,10 @@ class ExperimentConfig:
     rigidity_limit: float = 10.0
 
     def __post_init__(self):
+        for name in ("n_samples", "top_k"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError("%s must be an integer" % name)
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if not 0.0 < self.ks_threshold < 1.0:

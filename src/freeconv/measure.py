@@ -132,11 +132,21 @@ def from_config(tag, params):
     return builders[tag](params)
 
 
+# Lanes per block of an atoms sum over an array z: the lanes x atoms
+# temporaries stay near 2**18 complex entries (4 MB).
+_BLOCK_ENTRIES = 2 ** 18
+
+
 def _pole_sum(mass, locs, z, k):
-    """k-th derivative of sum_j mass_j / (locs_j - z)."""
+    """k-th derivative of sum_j mass_j / (locs_j - z), summed over the last axis."""
     if k == 0:
-        return complex(np.sum(mass / (locs - z)))
-    return complex(float(math.factorial(k)) * np.sum(mass * (locs - z) ** (-(k + 1))))
+        return np.sum(mass / (locs - z), axis=-1)
+    return float(math.factorial(k)) * np.sum(mass * (locs - z) ** (-(k + 1)), axis=-1)
+
+
+def _uniform_on_axis(a, b, x):
+    """Uniform transform at real x beyond [a, b], from the logs of |b - x|, |a - x|."""
+    return (np.log(abs(b - x)) - np.log(abs(a - x))) / (b - a)
 
 
 def stieltjes(mu, z, k=0):
@@ -144,19 +154,26 @@ def stieltjes(mu, z, k=0):
 
     k in {0, 1, 2}; the k-th derivative is k! * int (x - z)^{-(k+1)} dmu(x).
     Accepts im z > 0 or real z outside the support interval.  Every family
-    but `atoms` is evaluated in closed form.
+    but `atoms` is evaluated in closed form.  A scalar z gives a Python
+    complex; a numpy array z gives the transform elementwise, each entry to
+    the same bits whatever the array's length or the entry's position in it.
     """
-    z = complex(z)
-    if z.imag < 0:
+    scalar = not isinstance(z, np.ndarray)
+    z = complex(z) if scalar else z.astype(complex, copy=False)
+    # at a scalar z every comparison below is already one bool
+    anywhere = bool if scalar else np.any
+    if anywhere(z.imag < 0):
         raise ValueError("stieltjes requires im z >= 0, got %r" % (z,))
-    if z.imag == 0:
+    on_axis = z.imag == 0
+    if anywhere(on_axis):
         sup = mu.support()
-        if sup.lower <= z.real <= sup.upper:
+        inside = on_axis & (sup.lower <= z.real) & (z.real <= sup.upper)
+        if anywhere(inside):
             raise ValueError("real z=%g lies inside the support interval [%g, %g]"
-                             % (z.real, sup.lower, sup.upper))
+                             % (np.extract(inside, z.real)[0], sup.lower, sup.upper))
     fam = mu.family
-    # the subordination iteration spends most of its calls here: keep the
-    # k = 0 point-mass return ahead of every other check
+    # the edge search on a point-mass pair makes most of its scalar calls
+    # here: keep the k = 0 point-mass return ahead of every other check
     if fam == "point_mass" and k == 0:
         return 1.0 / (mu.params[0] - z)
     if k not in (0, 1, 2):
@@ -167,28 +184,33 @@ def stieltjes(mu, z, k=0):
         var, center = mu.params
         w = z - center
         r = 2.0 * np.sqrt(var)
-        s = np.sqrt(complex(w - r)) * np.sqrt(complex(w + r))
+        s = np.sqrt(w - r) * np.sqrt(w + r)
         if k == 0:
-            return complex((-w + s) / (2.0 * var))
-        if k == 1:
-            return complex((-1.0 + w / s) / (2.0 * var))
-        return complex(-2.0 / s ** 3)
-    if fam == "uniform":
+            m = (-w + s) / (2.0 * var)
+        elif k == 1:
+            m = (-1.0 + w / s) / (2.0 * var)
+        else:
+            m = -2.0 / s ** 3
+    elif fam == "uniform":
         a, b = mu.params
-        if k == 0:
-            if z.imag == 0.0:
-                x = z.real
-                return complex((np.log(abs(b - x)) - np.log(abs(a - x))) / (b - a))
-            return complex((np.log(b - z) - np.log(a - z)) / (b - a))
-        za, zb = a - z, b - z
-        if k == 1:
-            return complex((1.0 / za - 1.0 / zb) / (b - a))
-        return complex((1.0 / za ** 2 - 1.0 / zb ** 2) / (b - a))
-    if fam == "arcsine":
+        if k == 0 and scalar and on_axis:
+            m = _uniform_on_axis(a, b, z.real)
+        elif k == 0:
+            m = (np.log(b - z) - np.log(a - z)) / (b - a)
+            if anywhere(on_axis):
+                m[on_axis] = _uniform_on_axis(a, b, z.real[on_axis])
+        else:
+            za, zb = a - z, b - z
+            if k == 1:
+                m = (1.0 / za - 1.0 / zb) / (b - a)
+            else:
+                m = (1.0 / za ** 2 - 1.0 / zb ** 2) / (b - a)
+    elif fam == "arcsine":
         # m = -1/s with s = sqrt((z-a)(z-b)) as a product of principal roots,
         # so s ~ z at infinity and s is real (of either sign) off [a, b]
         a, b = mu.params
-        s = cmath.sqrt(z - a) * cmath.sqrt(z - b)
+        sqrt = cmath.sqrt if scalar else np.sqrt
+        s = sqrt(z - a) * sqrt(z - b)
         if k == 0:
             return -1.0 / s
         # m' = w/s^3 and m'' = (s^2 - 3w^2)/s^5 with w = z - (a+b)/2; the
@@ -199,7 +221,16 @@ def stieltjes(mu, z, k=0):
         if k == 1:
             return w / (s * s2)
         return (s2 - 3.0 * w * w) / (s * (s2 * s2))
-    return _pole_sum(mu.weights, mu.locations, z, k)
+    elif scalar:
+        m = _pole_sum(mu.weights, mu.locations, z, k)
+    else:
+        lanes = z.reshape(-1, 1)
+        m = np.empty(len(lanes), dtype=complex)
+        step = max(1, _BLOCK_ENTRIES // len(mu.locations))
+        for i in range(0, len(lanes), step):
+            m[i:i + step] = _pole_sum(mu.weights, mu.locations, lanes[i:i + step], k)
+        m = m.reshape(z.shape)
+    return complex(m) if scalar else m
 
 
 def cdf(mu, x):

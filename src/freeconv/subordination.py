@@ -13,6 +13,11 @@ the plain step.  The fixed point gives m_{mu_t}(z) = m_{mu1}(omega1) =
 m_{mu2}(omega2) for the free convolution mu_t = mu1 (+) mu2 (+) semicircle(t),
 and the density follows by Stieltjes inversion with linear eta-extrapolation.
 Only im z > 0 is solved; the upper edge on the real axis is located in `edge`.
+
+One iteration serves every caller: it runs on an array of spectral
+parameters, one lane each, with numpy arithmetic that treats each lane on
+its own.  `solve` runs it on one lane and `density_sweep` on every grid x
+eta lane at once, so a sweep point equals `solve` at the same z bit for bit.
 """
 
 import cmath
@@ -25,6 +30,12 @@ from . import measure as ms
 
 # Absolute stopping tolerance on the plain step of omega2.
 _TOL = 1e-12
+_MAX_ITER = 100000
+
+# Lane status: converged, or why the lane stopped.  A lane that meets the
+# tolerance with no domain failure (code 0) has status _CONVERGED.
+_CONVERGED, _NO_CONVERGENCE, _BELOW_AXIS, _NOT_FINITE = 0, 1, 2, 3
+_FAILURES = {_BELOW_AXIS: "below-axis", _NOT_FINITE: "non-finite"}
 
 
 class NonConvergenceError(RuntimeError):
@@ -56,9 +67,13 @@ class SubordinationSolution:
 
 
 def f_transform(mu, t, z, k=0):
-    """F_{mu,t}(z) = -1/m_mu(z) + t m_mu(z) (k = 0) or its k-th derivative, k in {1, 2}."""
+    """F_{mu,t}(z) = -1/m_mu(z) + t m_mu(z) (k = 0) or its k-th derivative, k in {1, 2}.
+
+    Elementwise over an array z, where a zero m gives a non-finite entry; at
+    a scalar z a zero m raises DomainError.
+    """
     m = ms.stieltjes(mu, z)
-    if m == 0:
+    if not isinstance(m, np.ndarray) and m == 0:
         # far from the support m rounds to 0, where -1/m is not a number
         raise DomainError("m_mu(z) is 0 at z=%r" % (z,))
     if k == 0:
@@ -76,42 +91,83 @@ def _h(mu, t, w):
     return f_transform(mu, t, w) - w
 
 
-def _iterate_upper(mu1, mu2, t, z, max_iter, omega2_init):
-    """Alternating fixed point in the open upper half-plane, Newton-accelerated.
+def _domain_failure(w):
+    """0 where w is finite in the closed upper half-plane, else _NOT_FINITE or _BELOW_AXIS."""
+    return np.where(np.isfinite(w), np.where(w.imag < 0, _BELOW_AXIS, 0), _NOT_FINITE)
 
-    The plain step w2 -> z + h1(z + h2(w2)) has multiplier 1 + S, with
+
+def _solve_lanes(mu1, mu2, t, z, max_iter):
+    """Alternating fixed point on every lane of the 1d array z, Newton-accelerated.
+
+    Every lane starts at z + i max(1, |z|).  The plain step
+    w2 -> z + h1(z + h2(w2)) has multiplier 1 + S, with
     S = (F1'(w1) - 1)(F2'(w2) - 1) - 1 the stability function, so it stalls
-    where S vanishes at the edge.  Whenever the plain step shrank by less than
-    half, w2 takes the Newton step on g(w2) = z + h1(z + h2(w2)) - w2, whose
-    derivative is S, if that step stays in {im w >= im z}, where the fixed
-    point is unique.  Convergence is still the plain step falling to _TOL.
+    where S vanishes at the edge.  Whenever a lane's plain step shrank by
+    less than half, its w2 takes the Newton step on
+    g(w2) = z + h1(z + h2(w2)) - w2, whose derivative is S, if that step stays
+    in {im w >= im z}, where the fixed point is unique.  A lane converges
+    when its plain step falls to _TOL and then leaves the loop.  It fails at
+    the step where an iterate about to enter a transform, or be returned, is
+    not finite or lies below the real axis.  Elementwise numpy arithmetic
+    gives each lane the same bits whatever the other lanes are.
+
+    Returns arrays (omega1, omega2, m, residual, iterations, status).  For a
+    converged lane residual is the system's, max |F_j(w_j) - w1 - w2 + z|;
+    for a lane still stalled after max_iter it is the last plain step.
     """
-    w2 = omega2_init if omega2_init is not None else z + 1j * max(1.0, abs(z))
-    res = prev = np.inf
-    w1 = w2
-    for it in range(1, max_iter + 1):
-        w1 = z + _h(mu2, t, w2)
-        w2_next = z + _h(mu1, t, w1)
-        if w1.imag < -1e-8 or w2_next.imag < -1e-8:
-            raise DomainError("iterate left the closed upper half-plane at z=%r" % (z,))
-        res = abs(w2_next - w2)
-        if res <= _TOL:
-            return w1, w2_next, res, it
-        if res > 0.5 * prev:
-            s = (f_transform(mu1, t, w1, 1) - 1.0) * (f_transform(mu2, t, w2, 1) - 1.0) - 1.0
-            newton = w2 - (w2_next - w2) / s if s else w2_next
-            if newton.imag >= z.imag:
-                w2_next = newton
-        prev = res
-        w2 = w2_next
-    raise NonConvergenceError(max_iter, res)
+    n = len(z)
+    w1_out = np.full(n, np.nan, dtype=complex)
+    w2_out = np.full(n, np.nan, dtype=complex)
+    res_out = np.full(n, np.inf)
+    it_out = np.full(n, max_iter)
+    status = np.full(n, _NO_CONVERGENCE)
+    lane, zl = np.arange(n), z
+    w2 = z + 1j * np.maximum(1.0, np.abs(z))
+    prev = np.full(n, np.inf)
+    with np.errstate(all="ignore"):
+        for it in range(1, max_iter + 1):
+            if not len(lane):
+                break
+            w1 = zl + _h(mu2, t, w2)
+            code = _domain_failure(w1)
+            off = code != 0
+            w2_next = zl + _h(mu1, t, np.where(off, zl, w1))
+            res = np.abs(w2_next - w2)
+            done = ~off & (res <= _TOL)
+            stall = ~off & ~done & (res > 0.5 * prev)
+            if np.any(stall):
+                a, b, c = w1[stall], w2[stall], w2_next[stall]
+                s = (f_transform(mu1, t, a, 1) - 1.0) * (f_transform(mu2, t, b, 1) - 1.0) - 1.0
+                newton = np.where(s != 0, b - (c - b) / s, c)
+                w2_next[stall] = np.where(newton.imag >= zl[stall].imag, newton, c)
+            code = np.where(off, code, _domain_failure(w2_next))
+            out = done | (code != 0)
+            if np.any(out):
+                idx = lane[out]
+                w1_out[idx], w2_out[idx] = w1[out], w2_next[out]
+                res_out[idx], it_out[idx], status[idx] = res[out], it, code[out]
+                keep = ~out
+                lane, zl, w2_next, res = lane[keep], zl[keep], w2_next[keep], res[keep]
+            w2, prev = w2_next, res
+        res_out[lane] = prev
+        ok = status == _CONVERGED
+        m = np.full(n, np.nan, dtype=complex)
+        if np.any(ok):
+            w1, w2 = w1_out[ok], w2_out[ok]
+            m[ok] = ms.stieltjes(mu1, w1)
+            p1 = f_transform(mu1, t, w1) - w1 - w2 + z[ok]
+            p2 = f_transform(mu2, t, w2) - w1 - w2 + z[ok]
+            res_out[ok] = np.maximum(np.abs(p1), np.abs(p2))
+    return w1_out, w2_out, m, res_out, it_out, status
 
 
-def solve(mu1, mu2, t, z, max_iter=100000, omega2_init=None):
-    """Solve the subordination system at z with im z > 0.
+def solve(mu1, mu2, t, z, max_iter=_MAX_ITER):
+    """Solve the subordination system at one z with im z > 0.
 
-    `omega2_init` warm-starts the iteration, e.g. from the previous point of
-    a contour sweep.
+    The lane iteration of `density_sweep` on a single lane, from a cold
+    start, so a sweep point equals `solve` at the same E + i eta bit for bit.
+    Raises DomainError for an inadmissible query or iterate and
+    NonConvergenceError after max_iter iterations.
     """
     if not (math.isfinite(t) and t >= 0):
         raise DomainError("t must be finite and nonnegative, got %r" % (t,))
@@ -120,21 +176,24 @@ def solve(mu1, mu2, t, z, max_iter=100000, omega2_init=None):
         raise DomainError("z must be finite, got %r" % (z,))
     if not z.imag > 0:
         raise DomainError("im z must be > 0, got %r" % (z,))
-    w1, w2, res, it = _iterate_upper(mu1, mu2, t, z, max_iter, omega2_init)
-    m1 = ms.stieltjes(mu1, w1)
-    p1 = f_transform(mu1, t, w1) - w1 - w2 + z
-    p2 = f_transform(mu2, t, w2) - w1 - w2 + z
-    res = max(abs(p1), abs(p2))
-    return SubordinationSolution(omega1=w1, omega2=w2, m=m1, residual=res, iterations=it)
+    w1, w2, m, res, it, status = _solve_lanes(mu1, mu2, t, np.array([z]), max_iter)
+    if status[0] == _NO_CONVERGENCE:
+        raise NonConvergenceError(int(it[0]), float(res[0]))
+    if status[0] != _CONVERGED:
+        raise DomainError("%s iterate at z=%r" % (_FAILURES[status[0]], z))
+    return SubordinationSolution(omega1=complex(w1[0]), omega2=complex(w2[0]), m=complex(m[0]),
+                                 residual=float(res[0]), iterations=int(it[0]))
 
 
 def density_sweep(mu1, mu2, t, grid, eta_seq=(1e-3, 5e-4)):
     """Density of mu_t on a grid by Stieltjes inversion.
 
-    For each grid point E evaluates im m at E + i eta over eta_seq, fits a
-    line in eta and reports the intercept / pi, clipped at 0.  Returns
-    (rho, residual, iterations) arrays; points where the solver failed carry
-    rho = nan and are not fatal.
+    Solves im m at E + i eta for every grid point E and every eta in
+    eta_seq at once, as the lanes of one iteration, fits a line in eta and
+    reports the intercept / pi, clipped at 0.  Returns (rho, residual,
+    iterations) arrays: per grid point the largest system residual and the
+    summed iterations of its solved etas.  A lane that fails, or an
+    inadmissible t or grid point, gives rho = nan at its own point only.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or (len(grid) > 1 and np.any(np.diff(grid) <= 0)):
@@ -142,21 +201,18 @@ def density_sweep(mu1, mu2, t, grid, eta_seq=(1e-3, 5e-4)):
     etas = np.asarray(eta_seq, dtype=float)
     if len(etas) < 2 or np.any(etas <= 0) or np.any(np.diff(etas) >= 0):
         raise ValueError("eta_seq must be a decreasing positive sequence, len >= 2")
-    ims = np.full((len(grid), len(etas)), np.nan)
-    resid = np.zeros(len(grid))
-    iters = np.zeros(len(grid), dtype=int)
-    warm = [None] * len(etas)
-    for j, e_val in enumerate(grid):
-        for k, eta in enumerate(etas):
-            try:
-                sol = solve(mu1, mu2, t, complex(e_val, eta), omega2_init=warm[k])
-            except (NonConvergenceError, DomainError):
-                warm[k] = None
-                continue
-            warm[k] = sol.omega2
-            ims[j, k] = sol.m.imag
-            resid[j] = max(resid[j], sol.residual)
-            iters[j] += sol.iterations
+    z = np.empty((len(grid), len(etas)), dtype=complex)
+    z.real, z.imag = grid[:, None], etas
+    ims = np.full(z.shape, np.nan)
+    resid = np.zeros(z.shape)
+    iters = np.zeros(z.shape, dtype=int)
+    lanes = np.isfinite(z) & (math.isfinite(t) and t >= 0)
+    _, _, m, res, it, status = _solve_lanes(mu1, mu2, t, z[lanes], _MAX_ITER)
+    ok = status == _CONVERGED
+    solved = np.flatnonzero(lanes)[ok]
+    ims.flat[solved] = m[ok].imag
+    resid.flat[solved] = res[ok]
+    iters.flat[solved] = it[ok]
     # least-squares intercept of every row as one weighted sum of its values.
     # In units of the last eta a halving pair gets the weights -1, 2 exactly,
     # so its sum is correctly rounded; a row with a failed solve keeps its nan.
@@ -164,4 +220,4 @@ def density_sweep(mu1, mu2, t, grid, eta_seq=(1e-3, 5e-4)):
     uc = u - u.mean()
     weights = 1.0 / len(u) - u.mean() * uc / np.sum(uc * uc)
     rho = np.maximum(np.sum(ims * weights, axis=1) / np.pi, 0.0)
-    return rho, resid, iters
+    return rho, resid.max(axis=1), iters.sum(axis=1)

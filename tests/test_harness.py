@@ -95,6 +95,12 @@ def test_config_validation():
         build(t=0.5)
     with pytest.raises(ValueError):
         build(top_k=0)
+    for bad in ({"n_samples": 2.5}, {"top_k": 2.5}, {"n_samples": 5.0}, {"top_k": "3"}):
+        with pytest.raises(ValueError):
+            build(**bad)
+    cfg = build(n_samples=np.int64(5), top_k=np.int32(3))
+    assert (type(cfg.n_samples), type(cfg.top_k)) == (int, int)
+    assert (cfg.n_samples, cfg.top_k) == (5, 3)
     for limit in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             build(rigidity_limit=limit)

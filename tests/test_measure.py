@@ -111,6 +111,30 @@ def test_derivative_rejects_bad_order():
             ms.stieltjes(ms.point_mass(0.0), 2j, k)
 
 
+def test_stieltjes_elementwise_over_arrays():
+    # an array z gives each entry the bits a one-entry array gives it, in any
+    # shape; 70000 atoms make the atoms sum run in blocks of 3 lanes.  A
+    # scalar z takes the scalar expressions and agrees to rounding.
+    rng = np.random.default_rng(5)
+    big = ms.atoms(rng.normal(size=70000), np.full(70000, 1.0 / 70000))
+    z = np.concatenate([rng.normal(size=20) * 3 + 1j * rng.uniform(0.01, 2.0, 20),
+                        [10.0, -10.0]])
+    for mu in [ms.semicircle(1.0, 0.2), ms.uniform(-1.0, 2.0), ms.arcsine(-1.0, 2.0),
+               ms.point_mass(0.3), big]:
+        for k in (0, 1, 2):
+            got = ms.stieltjes(mu, z, k)
+            assert got.shape == z.shape
+            assert np.array_equal(ms.stieltjes(mu, z.reshape(2, 11), k), got.reshape(2, 11))
+            for i, zi in enumerate(z):
+                assert ms.stieltjes(mu, z[i:i + 1], k)[0].tobytes() == got[i].tobytes()
+                want = ms.stieltjes(mu, complex(zi), k)
+                assert abs(got[i] - want) <= 1e-13 * abs(want)
+        with pytest.raises(ValueError):
+            ms.stieltjes(mu, np.array([1j, 0.5 - 1e-3j]))
+        with pytest.raises(ValueError):
+            ms.stieltjes(mu, np.array([1j, 0.3 + 0j]))
+
+
 def test_real_z_inside_support_rejected():
     for mu in [ms.semicircle(1.0), ms.uniform(-1.0, 1.0), ms.arcsine(-1.0, 1.0),
                ms.atoms([-1.0, 1.0], [0.5, 0.5])]:

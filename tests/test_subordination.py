@@ -103,11 +103,9 @@ def test_solve_delta_shift():
 
 def test_solve_matches_sc2_on_contour():
     mu = ms.semicircle(1.0)
-    w2 = None
     for x in np.linspace(-3.5, 3.5, 40):
         z = complex(x, 0.05)
-        sol = sub.solve(mu, mu, 0.0, z, omega2_init=w2)
-        w2 = sol.omega2
+        sol = sub.solve(mu, mu, 0.0, z)
         assert abs(sol.m - m_sc(z, 2.0)) < 1e-10
 
 
@@ -247,30 +245,13 @@ def test_density_mass_and_csv_columns():
     assert np.all(iters >= 1)
 
 
-def _recording_solve(monkeypatch, fail_at=None):
-    """Wrap sub.solve; log (z, omega2_init, im m) per call, raise at z == fail_at."""
-    log = []
-    real_solve = sub.solve
-
-    def recording(mu1, mu2, t, z, **kwargs):
-        if z == fail_at:
-            log.append((z, kwargs.get("omega2_init"), None))
-            raise sub.NonConvergenceError(1, math.inf)
-        sol = real_solve(mu1, mu2, t, z, **kwargs)
-        log.append((z, kwargs.get("omega2_init"), sol.m.imag))
-        return sol
-
-    monkeypatch.setattr(sub, "solve", recording)
-    return log
-
-
 @pytest.mark.parametrize("etas", [(1e-3, 5e-4), (2e-3, 1e-3, 5e-4)])
-def test_density_intercept_matches_polyfit(monkeypatch, etas):
+def test_density_intercept_matches_polyfit(etas):
     mu = ms.uniform(-1.0, 1.0)
     grid = np.linspace(-2.0, 2.0, 41)
-    log = _recording_solve(monkeypatch)
     rho, _, _ = sub.density_sweep(mu, mu, 0.0, grid, eta_seq=etas)
-    ims = np.array([rec[2] for rec in log]).reshape(len(grid), len(etas))
+    ims = np.array([[sub.solve(mu, mu, 0.0, complex(e, h)).m.imag for h in etas]
+                    for e in grid])
     want = np.array([max(np.polyfit(etas, row, 1)[1] / math.pi, 0.0) for row in ims])
     # relative to the row's values: beyond the edge the intercept cancels
     # to ~1e-18 and polyfit's own rounding is larger than the intercept
@@ -281,23 +262,86 @@ def test_density_intercept_matches_polyfit(monkeypatch, etas):
     assert np.all(np.abs(rho - want)[bulk] <= 1e-15 * want[bulk])
 
 
-def test_density_failed_solve_is_nan_and_resets_warm_start(monkeypatch):
+def test_density_failed_lane_is_nan_at_its_point_only(monkeypatch):
+    # the first transform value of the lane at (grid[2], etas[1]) is
+    # poisoned with nan: that lane fails at its first step and only its grid
+    # point reads nan; the other eta of the same point still counts its
+    # residual and iterations
     mu = ms.uniform(-1.0, 1.0)
     grid = np.linspace(-0.5, 0.5, 5)
     etas = (1e-3, 5e-4)
-    fail_at = complex(grid[2], etas[1])
-    log = _recording_solve(monkeypatch, fail_at=fail_at)
+    real_h = sub._h
+    calls = []
+
+    def poisoned(mu_, t, w):
+        out = real_h(mu_, t, w)
+        if not calls:
+            out[2 * len(etas) + 1] = np.nan    # lanes are grid-major
+        calls.append(len(w))
+        return out
+
+    clean = sub.density_sweep(mu, mu, 0.0, grid, eta_seq=etas)
+    monkeypatch.setattr(sub, "_h", poisoned)
     rho, resid, iters = sub.density_sweep(mu, mu, 0.0, grid, eta_seq=etas)
+    # h2, then h1 on all ten lanes; the next h2 runs without the failed lane
+    assert calls[:3] == [10, 10, 9]
     assert np.isnan(rho[2])
-    assert np.all(np.isfinite(np.delete(rho, 2)))
-    assert resid[2] > 0.0 and iters[2] > 0   # the other eta still counts
-    warm = {z: init for z, init, _ in log}
-    # the eta that failed restarts cold at the next point; the other keeps
-    # its warm start
-    assert warm[complex(grid[3], etas[1])] is None
-    assert warm[complex(grid[3], etas[0])] is not None
-    assert all(warm[complex(e, h)] is not None for e in grid[1:] for h in etas
-               if complex(e, h) != complex(grid[3], etas[1]))
+    keep = np.arange(len(grid)) != 2
+    for got, want in zip((rho, resid, iters), clean):
+        assert np.array_equal(got[keep], want[keep])
+    assert 0.0 < resid[2] and 0 < iters[2] < clean[2][2]
+
+
+def test_nonfinite_iterate_is_domain_error_at_once():
+    # t = 1e300 overflows the first transform value; the lane stops at that
+    # step instead of running max_iter iterations on nan
+    mu = ms.semicircle(1.0)
+    with pytest.raises(sub.DomainError, match="non-finite"):
+        sub.solve(mu, mu, 1e300, 0.3 + 0.1j)
+    rho, resid, iters = sub.density_sweep(mu, mu, 1e300, [0.0, 0.3])
+    assert np.all(np.isnan(rho)) and np.all(iters == 0)
+
+
+def test_iterate_below_axis_is_nan_point():
+    # the far point masses put an iterate below the real axis; the lane
+    # fails before that iterate reaches a transform, so the sweep gives nan
+    # points instead of the transform's ValueError
+    mu1, mu2 = ms.point_mass(1e300), ms.point_mass(-1e300)
+    rho, _, iters = sub.density_sweep(mu1, mu2, 0.0, [0.0, 0.3])
+    assert np.all(np.isnan(rho)) and np.all(iters == 0)
+    with pytest.raises(sub.DomainError):
+        sub.solve(mu1, mu2, 0.0, 0.3 + 1e-3j)
+
+
+FAMILIES = [ms.semicircle(1.0, 0.1), ms.uniform(-1.0, 0.8), ms.arcsine(-0.6, 1.2),
+            ms.point_mass(0.3), ms.atoms([-1.0, 0.2, 0.9], [0.3, 0.5, 0.2])]
+
+
+@pytest.mark.parametrize("mu1", FAMILIES, ids=repr)
+@pytest.mark.parametrize("t", [0.0, 0.7])
+def test_sweep_lane_equals_solve_bitwise(mu1, t):
+    # each sweep lane runs solve's iteration on its own, so im m at every
+    # E + i eta, and so the density, equals per-point solve bit for bit
+    mu2 = ms.uniform(-0.5, 1.0)
+    grid = np.linspace(-3.0, 3.0, 13)
+    etas = (1e-3, 5e-4)
+    rho, resid, iters = sub.density_sweep(mu1, mu2, t, grid, eta_seq=etas)
+    sols = [[sub.solve(mu1, mu2, t, complex(e, h)) for h in etas] for e in grid]
+    ims = np.array([[s.m.imag for s in row] for row in sols])
+    # a halving eta pair extrapolates with the exact weights -1, 2
+    assert np.array_equal(rho, np.maximum((2.0 * ims[:, 1] - ims[:, 0]) / np.pi, 0.0))
+    assert np.array_equal(resid, [max(s.residual for s in row) for row in sols])
+    assert np.array_equal(iters, [sum(s.iterations for s in row) for row in sols])
+
+
+def test_sweep_subgrid_equals_full_grid():
+    mu1, mu2 = ms.arcsine(-1.0, 1.0), ms.uniform(-1.0, 1.0)
+    grid = np.linspace(-2.5, 2.5, 101)
+    full = sub.density_sweep(mu1, mu2, 0.5, grid)
+    for part in (slice(0, 1), slice(40, 61), slice(None, None, 7)):
+        sub_sweep = sub.density_sweep(mu1, mu2, 0.5, grid[part])
+        for a, b in zip(sub_sweep, full):
+            assert np.array_equal(a, b[part])
 
 
 @pytest.mark.skipif(os.environ.get("FREECONV_HEAVY") != "1",
