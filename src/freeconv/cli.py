@@ -118,7 +118,7 @@ def parse_measure(key, spec):
         params = [params[0::2], params[1::2]]
     try:
         return ms.from_config(tag, params)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError("%s: %s" % (key, exc))
 
 
@@ -234,10 +234,9 @@ def cmd_convolve(cfg):
     mu1 = parse_measure("mu1", cfg["mu1"])
     mu2 = parse_measure("mu2", cfg["mu2"])
     t = cfg["t"]
-    s1, s2 = mu1.support(), mu2.support()
     pad = 2.0 * math.sqrt(t) + 0.25
-    lo = cfg.get("grid_lo", s1.lower + s2.lower - pad)
-    hi = cfg.get("grid_hi", s1.upper + s2.upper + pad)
+    lo = cfg.get("grid_lo", mu1.lower + mu2.lower - pad)
+    hi = cfg.get("grid_hi", mu1.upper + mu2.upper + pad)
     if hi <= lo:
         raise ConfigError("grid_lo must be < grid_hi")
     rep = eg.find_edge_stability(mu1, mu2, t)

@@ -69,9 +69,8 @@ def _shift_case(mu1, mu2, t):
     convolution is `other` translated by c; else None."""
     if t == 0.0:
         for atom, other in ((mu2, mu1), (mu1, mu2)):
-            s = atom.support()
-            if s.lower == s.upper:
-                return s.lower, other
+            if atom.lower == atom.upper:
+                return atom.lower, other
     return None
 
 
@@ -133,7 +132,7 @@ def _invert_f(mu, t, u, eps):
     found by a bracketed Newton iteration.  Returns None when u lies below
     the range, which signals that the queried point sits inside the band.
     """
-    lo = mu.support().upper + eps
+    lo = mu.upper + eps
     flo = _real_f(mu, t, lo)
     if not flo < u:
         return None
@@ -175,7 +174,7 @@ def _edge_core(mu1, mu2, t):
     shift = _shift_case(mu1, mu2, t)
     if shift is not None:
         c, other = shift
-        w_o = other.support().upper
+        w_o = other.upper
         # F of the continuous factor one ulp-scale beyond its endpoint
         # stands in for the boundary limit.
         f_o = _real_f(other, 0.0, w_o + 1e-9 * max(1.0, abs(w_o)))
@@ -183,7 +182,7 @@ def _edge_core(mu1, mu2, t):
             return w_o + c, w_o, f_o + c, 0.0, other, None, None
         return w_o + c, f_o + c, w_o, 0.0, other, None, None
 
-    eps1 = 1e-9 * max(1.0, abs(mu1.support().upper))
+    eps1 = 1e-9 * max(1.0, abs(mu1.upper))
 
     def minus_s(w2):
         ev = _stability_at(mu1, mu2, t, w2, eps1)
@@ -196,7 +195,7 @@ def _edge_core(mu1, mu2, t):
         ev = _stability_at(mu1, mu2, t, w2, eps1)
         return ev is not None and ev[0] < 0.0
 
-    floor = mu2.support().upper
+    floor = mu2.upper
     # march up from the support to a point with S < 0, then march the gap to
     # the support down until the sign flips or the partner inversion fails
     # (both mean the band has been entered)
@@ -220,8 +219,8 @@ def find_edge_stability(mu1, mu2, t):
 
     gamma is the closed form of the module docstring; a root where it is not
     finite (dS/dw2 >= 0) raises BracketNotFound.  In the shift case gamma is
-    variance^{-1/2} for a semicircle, and any other family, having no
-    square-root edge, raises FitUnstable.
+    the translated factor's own edge coefficient, and a factor without one,
+    having no square-root upper edge, raises FitUnstable.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
@@ -241,10 +240,10 @@ def find_edge_stability(mu1, mu2, t):
         if not math.isfinite(gamma):
             raise BracketNotFound("no square-root scale at the stability root "
                                   "(dS/dw2 = %.3g)" % ds)
-    elif shifted.family == "semicircle":
-        gamma = shifted.params[0] ** -0.5
     else:
-        raise FitUnstable("%r has no square-root upper edge" % (shifted,))
+        gamma = shifted.edge_coefficient
+        if gamma is None:
+            raise FitUnstable("%r has no square-root upper edge" % (shifted,))
 
     return EdgeReport(
         e_plus=float(e_plus),
@@ -276,7 +275,7 @@ def solve_xi(mu0, t):
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    up = mu0.support().upper
+    up = mu0.upper
     target = 1.0 / t
 
     def g(x):
@@ -317,8 +316,7 @@ def classical_locations(mu1, mu2, t, n, top_k, grid_points=None):
     e_plus = _edge_core(mu1, mu2, t)[0]
     targets = (np.arange(1, top_k + 1) - 0.5) / n
 
-    s1, s2 = mu1.support(), mu2.support()
-    span_cap = e_plus - (s1.lower + s2.lower - 2.0 * math.sqrt(t)) + 0.5
+    span_cap = e_plus - (mu1.lower + mu2.lower - 2.0 * math.sqrt(t)) + 0.5
     w = min(1.0, span_cap)
     if grid_points is None:
         grid_points = int(max(800, min(6000, 12 * top_k)))

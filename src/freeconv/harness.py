@@ -147,13 +147,6 @@ def ks_statistic(samples, cdf_or_samples):
     return float(np.max(np.abs(fx - fy)))
 
 
-def _measure_echo(mu):
-    """The family and the parameters from_config takes to rebuild mu."""
-    if mu.family == "atoms":
-        return {"family": "atoms", "params": [mu.locations.tolist(), mu.weights.tolist()]}
-    return {"family": mu.family, "params": list(mu.params)}
-
-
 def _report(tag, cfg, statistic, threshold, stats, records, **echo):
     return ExperimentReport(
         tag=tag,
@@ -165,8 +158,8 @@ def _report(tag, cfg, statistic, threshold, stats, records, **echo):
             "seed": cfg.ensemble.seed,
             "t": cfg.t,
             "n_samples": cfg.n_samples,
-            "mu1": _measure_echo(cfg.mu1),
-            "mu2": _measure_echo(cfg.mu2),
+            "mu1": cfg.mu1.echo(),
+            "mu2": cfg.mu2.echo(),
             "ks_threshold": cfg.ks_threshold,
             "eta_exponent": cfg.eta_exponent,
             "chi": cfg.chi,

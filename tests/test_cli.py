@@ -104,9 +104,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert run("verify-local-law", "--sizes", "1000,500,250") == 2
     assert run("verify-local-law", "--sizes", "250,250,500") == 2
     for spec in ("point_mass:nan", "atoms:nan,1", "atoms:0,nan", "uniform:0,inf",
-                 "semicircle:inf"):
+                 "semicircle:inf", "semicircle:1,2,3", "point_mass:"):
         assert run("edge", "--mu1", spec, "--mu2", "semicircle:1",
                    "--out-dir", str(tmp_path)) == 2, spec
+    capsys.readouterr()
+    run("edge", "--mu1", "semicircle:1,2,3", "--mu2", "semicircle:1")
+    assert "semicircle takes (variance, center=0.0), got 3 parameters" in capsys.readouterr().err
     assert run("verify-rigidity", "--n", "50", "--top-k", "60") == 2
     assert run("verify-local-law", "--eta-exponent", "40") == 2
     # experiment settings are checked by ExperimentConfig, as config errors

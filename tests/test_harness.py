@@ -116,7 +116,7 @@ def test_atoms_echo_round_trips():
     rng = np.random.default_rng(3)
     locs = np.sort(rng.normal(size=7))
     mus = [ms.atoms(locs, w / w.sum()) for w in (rng.random(7), rng.random(7))]
-    echoes = [json.loads(json.dumps(hz._measure_echo(mu))) for mu in mus]
+    echoes = [json.loads(json.dumps(mu.echo())) for mu in mus]
     assert echoes[0] != echoes[1]
     for mu, echo in zip(mus, echoes):
         assert echo["family"] == "atoms"

@@ -5,6 +5,7 @@ high-precision constants were frozen from a 40-digit quadrature/root-finding
 oracle (noted next to each value).
 """
 
+import json
 import math
 
 import numpy as np
@@ -32,6 +33,10 @@ ARCSINE_ASYM = {
     (-1.7, 1): 0.5278044344411739,
     (-1.7, 2): 1.1050731665291689,
 }
+
+# one measure of each family
+ONE_OF_EACH = [ms.semicircle(1.0, 0.2), ms.uniform(-1.0, 2.0), ms.arcsine(-1.0, 2.0),
+               ms.point_mass(0.3), ms.atoms([-1.0, 0.0, 2.0], [0.2, 0.3, 0.5])]
 
 
 def test_semicircle_stieltjes_at_i():
@@ -104,11 +109,10 @@ def test_derivative_examples():
 
 
 def test_derivative_rejects_bad_order():
-    for k in (4, -1):
-        with pytest.raises(ValueError):
-            ms.stieltjes(ms.semicircle(1.0), 2j, k)
-        with pytest.raises(ValueError):
-            ms.stieltjes(ms.point_mass(0.0), 2j, k)
+    for mu in ONE_OF_EACH:
+        for k in (3, 4, -1):
+            with pytest.raises(ValueError):
+                ms.stieltjes(mu, 2j, k)
 
 
 def test_stieltjes_elementwise_over_arrays():
@@ -127,6 +131,9 @@ def test_stieltjes_elementwise_over_arrays():
             assert np.array_equal(ms.stieltjes(mu, z.reshape(2, 11), k), got.reshape(2, 11))
             for i, zi in enumerate(z):
                 assert ms.stieltjes(mu, z[i:i + 1], k)[0].tobytes() == got[i].tobytes()
+                # a 0-d array is one entry too
+                zero_d = ms.stieltjes(mu, z[i:i + 1].reshape(()), k)
+                assert zero_d.shape == () and zero_d.tobytes() == got[i].tobytes()
                 want = ms.stieltjes(mu, complex(zi), k)
                 assert abs(got[i] - want) <= 1e-13 * abs(want)
         with pytest.raises(ValueError):
@@ -136,8 +143,9 @@ def test_stieltjes_elementwise_over_arrays():
 
 
 def test_real_z_inside_support_rejected():
+    # the real z = 0.5 is the atom of the point mass
     for mu in [ms.semicircle(1.0), ms.uniform(-1.0, 1.0), ms.arcsine(-1.0, 1.0),
-               ms.atoms([-1.0, 1.0], [0.5, 0.5])]:
+               ms.point_mass(0.5), ms.atoms([-1.0, 1.0], [0.5, 0.5])]:
         with pytest.raises(ValueError):
             ms.stieltjes(mu, 0.5)
         with pytest.raises(ValueError):
@@ -227,6 +235,42 @@ def test_from_config_round_trip():
     assert mu.family == "atoms"
     with pytest.raises(ValueError):
         ms.from_config("cauchy", [1.0])
+    # the config echo rebuilds every family, through JSON as report.json
+    # stores it
+    assert sorted(mu.family for mu in ONE_OF_EACH) == sorted(ms._FAMILIES)
+    z = 0.4 + 0.3j
+    for mu in ONE_OF_EACH:
+        echo = json.loads(json.dumps(mu.echo()))
+        assert echo["family"] == mu.family
+        back = ms.from_config(echo["family"], echo["params"])
+        assert type(back) is type(mu) and back.params == mu.params
+        assert (back.lower, back.upper) == (mu.lower, mu.upper)
+        assert ms.stieltjes(back, z) == ms.stieltjes(mu, z)
+    # a wrong parameter count names the family's parameters
+    for tag, params in [("semicircle", [1.0, 2.0, 3.0]), ("point_mass", []),
+                        ("uniform", [1.0]), ("atoms", [[0.0]])]:
+        with pytest.raises(ValueError, match=r"%s takes \(" % tag):
+            ms.from_config(tag, params)
+
+
+def test_cdf_of_every_family():
+    # 0 below lower and 1 from upper on; for the point mass, whose lower and
+    # upper are its atom, this is the jump taken at the atom itself
+    for mu in ONE_OF_EACH:
+        lo, hi = mu.lower, mu.upper
+        below = [lo - 1.0, np.nextafter(lo, -np.inf)]
+        assert np.array_equal(ms.cdf(mu, below), [0.0, 0.0]), mu
+        assert np.array_equal(ms.cdf(mu, [hi, hi + 1.0]), [1.0, 1.0]), mu
+        f = ms.cdf(mu, np.linspace(lo - 1.0, hi + 1.0, 1001))
+        assert np.all(np.diff(f) >= 0.0), mu
+    # 1/2 at the centre of the symmetric families
+    for mu in ONE_OF_EACH[:3]:
+        assert abs(ms.cdf(mu, 0.5 * (mu.lower + mu.upper)) - 0.5) <= 1e-15, mu
+    # right-continuous at each atom
+    mu = ONE_OF_EACH[4]
+    assert np.array_equal(ms.cdf(mu, mu.locations), np.cumsum(mu.weights))
+    assert np.array_equal(ms.cdf(mu, np.nextafter(mu.locations, -np.inf)),
+                          np.concatenate([[0.0], np.cumsum(mu.weights)[:-1]]))
 
 
 def test_measure_arrays_immutable():
