@@ -36,8 +36,6 @@ import numpy as np
 from . import measure as ms
 from .subordination import density_sweep, f_transform
 
-_DENSITY_ETAS = (2e-4, 1e-4)
-
 
 class BracketNotFound(RuntimeError):
     """No zero of the stability function was located above the support."""
@@ -303,7 +301,7 @@ def edge_from_xi(mu0, t):
     return float(e_plus), float(gamma)
 
 
-def classical_locations(mu1, mu2, t, n, top_k, grid_points=None):
+def classical_locations(mu1, mu2, t, n, top_k):
     """Deterministic eigenvalue locations gamma_1 >= ... >= gamma_top_k.
 
     gamma_j leaves tail mass (j - 1/2)/n above it under the convolved
@@ -318,11 +316,10 @@ def classical_locations(mu1, mu2, t, n, top_k, grid_points=None):
 
     span_cap = e_plus - (mu1.lower + mu2.lower - 2.0 * math.sqrt(t)) + 0.5
     w = min(1.0, span_cap)
-    if grid_points is None:
-        grid_points = int(max(800, min(6000, 12 * top_k)))
+    grid_points = int(max(800, min(6000, 12 * top_k)))
     for _ in range(9):
         kap = w * np.linspace(0.0, 1.0, grid_points) ** 2
-        rho, _, _ = density_sweep(mu1, mu2, t, (e_plus - kap)[::-1], eta_seq=_DENSITY_ETAS)
+        rho, _, _ = density_sweep(mu1, mu2, t, (e_plus - kap)[::-1])
         failed = int(np.count_nonzero(~np.isfinite(rho)))
         if failed:
             raise FitUnstable("density solve failed at %d of %d points below the edge"

@@ -11,13 +11,14 @@ map stalls, next to the edge where the stability function vanishes, a Newton
 step on its fixed-point equation, kept in {im omega >= im z}, takes over from
 the plain step.  The fixed point gives m_{mu_t}(z) = m_{mu1}(omega1) =
 m_{mu2}(omega2) for the free convolution mu_t = mu1 (+) mu2 (+) semicircle(t),
-and the density follows by Stieltjes inversion with linear eta-extrapolation.
-Only im z > 0 is solved; the upper edge on the real axis is located in `edge`.
+and the density follows by Stieltjes inversion, read as im m / pi at the one
+height _ETA above the real axis.  Only im z > 0 is solved; the upper edge on
+the real axis is located in `edge`.
 
 One iteration serves every caller: it runs on an array of spectral
 parameters, one lane each, with numpy arithmetic that treats each lane on
-its own.  `solve` runs it on one lane and `density_sweep` on every grid x
-eta lane at once, so a sweep point equals `solve` at the same z bit for bit.
+its own.  `solve` runs it on one lane and `density_sweep` on one lane per
+grid point at once, so a sweep point equals `solve` at the same z bit for bit.
 """
 
 import cmath
@@ -31,6 +32,15 @@ from . import measure as ms
 # Absolute stopping tolerance on the plain step of omega2.
 _TOL = 1e-12
 _MAX_ITER = 100000
+
+# Height above the real axis at which `density_sweep` reads im m / pi.  Its
+# bias is the Cauchy smoothing of the density, of order eta / sqrt(kappa) at
+# distance kappa below a square-root edge, so smaller is more accurate; but
+# rounding in the iteration grows as eta falls.  At 1e-9 the sc(1) + sc(1)
+# pair errs by at most 8e-11 from kappa = 0.1 down to 1e-6 below its edge and
+# by 3e-9 at 1e-3 beyond it; 1e-8 reads 1.1e-10 at E = 6, where the density
+# is 0, and at 1e-10 arcsine + uniform lanes with |E| >= 719 stop below the axis.
+_ETA = 1e-9
 
 # Lane status: converged, or why the lane stopped.  A lane that meets the
 # tolerance with no domain failure (code 0) has status _CONVERGED.
@@ -114,7 +124,14 @@ def _solve_lanes(mu1, mu2, t, z, max_iter):
     Returns arrays (omega1, omega2, m, residual, iterations, status).  For a
     converged lane residual is the system's, max |F_j(w_j) - w1 - w2 + z|;
     for a lane still stalled after max_iter it is the last plain step.
+
+    At t = 0 a point-mass mu2 is iterated first: its h = -c carries rounding
+    of about eps |w|, which F1' amplifies by about 1/im z next to an edge or
+    jump of mu1, and the plain step would then cycle above _TOL.
     """
+    if t == 0 and mu2.lower == mu2.upper and mu1.lower < mu1.upper:
+        w2, w1, m, res, it, status = _solve_lanes(mu2, mu1, t, z, max_iter)
+        return w1, w2, m, res, it, status
     n = len(z)
     w1_out = np.full(n, np.nan, dtype=complex)
     w2_out = np.full(n, np.nan, dtype=complex)
@@ -165,7 +182,7 @@ def solve(mu1, mu2, t, z, max_iter=_MAX_ITER):
     """Solve the subordination system at one z with im z > 0.
 
     The lane iteration of `density_sweep` on a single lane, from a cold
-    start, so a sweep point equals `solve` at the same E + i eta bit for bit.
+    start, so a sweep point equals `solve` at the same E + i _ETA bit for bit.
     Raises DomainError for an inadmissible query or iterate and
     NonConvergenceError after max_iter iterations.
     """
@@ -185,39 +202,24 @@ def solve(mu1, mu2, t, z, max_iter=_MAX_ITER):
                                  residual=float(res[0]), iterations=int(it[0]))
 
 
-def density_sweep(mu1, mu2, t, grid, eta_seq=(1e-3, 5e-4)):
-    """Density of mu_t on a grid by Stieltjes inversion.
+def density_sweep(mu1, mu2, t, grid):
+    """Density of mu_t on a grid by Stieltjes inversion, im m(E + i _ETA) / pi.
 
-    Solves im m at E + i eta for every grid point E and every eta in
-    eta_seq at once, as the lanes of one iteration, fits a line in eta and
-    reports the intercept / pi, clipped at 0.  Returns (rho, residual,
-    iterations) arrays: per grid point the largest system residual and the
-    summed iterations of its solved etas.  A lane that fails, or an
-    inadmissible t or grid point, gives rho = nan at its own point only.
+    Every grid point is one lane of one iteration.  Returns (rho, residual,
+    iterations) arrays.  A lane that fails, or an inadmissible t or grid
+    point, gives rho = nan, residual 0 and iterations 0 at its own point only.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or (len(grid) > 1 and np.any(np.diff(grid) <= 0)):
         raise ValueError("grid must be 1d and strictly increasing")
-    etas = np.asarray(eta_seq, dtype=float)
-    if len(etas) < 2 or np.any(etas <= 0) or np.any(np.diff(etas) >= 0):
-        raise ValueError("eta_seq must be a decreasing positive sequence, len >= 2")
-    z = np.empty((len(grid), len(etas)), dtype=complex)
-    z.real, z.imag = grid[:, None], etas
-    ims = np.full(z.shape, np.nan)
-    resid = np.zeros(z.shape)
-    iters = np.zeros(z.shape, dtype=int)
-    lanes = np.isfinite(z) & (math.isfinite(t) and t >= 0)
-    _, _, m, res, it, status = _solve_lanes(mu1, mu2, t, z[lanes], _MAX_ITER)
+    rho = np.full(len(grid), np.nan)
+    resid = np.zeros(len(grid))
+    iters = np.zeros(len(grid), dtype=int)
+    lanes = np.isfinite(grid) & (math.isfinite(t) and t >= 0)
+    _, _, m, res, it, status = _solve_lanes(mu1, mu2, t, grid[lanes] + 1j * _ETA, _MAX_ITER)
     ok = status == _CONVERGED
     solved = np.flatnonzero(lanes)[ok]
-    ims.flat[solved] = m[ok].imag
-    resid.flat[solved] = res[ok]
-    iters.flat[solved] = it[ok]
-    # least-squares intercept of every row as one weighted sum of its values.
-    # In units of the last eta a halving pair gets the weights -1, 2 exactly,
-    # so its sum is correctly rounded; a row with a failed solve keeps its nan.
-    u = etas / etas[-1]
-    uc = u - u.mean()
-    weights = 1.0 / len(u) - u.mean() * uc / np.sum(uc * uc)
-    rho = np.maximum(np.sum(ims * weights, axis=1) / np.pi, 0.0)
-    return rho, resid.max(axis=1), iters.sum(axis=1)
+    rho[solved] = m[ok].imag / np.pi
+    resid[solved] = res[ok]
+    iters[solved] = it[ok]
+    return rho, resid, iters

@@ -159,9 +159,7 @@ def test_edge_from_xi_on_grid_base_measure():
     # the same three-fold system.
     half = UU_E_PLUS - 5e-4
     nodes = np.linspace(-half, half, 2060)
-    rho = sub.density_sweep(
-        ms.uniform(-1, 1), ms.uniform(-1, 1), 0.0, nodes, eta_seq=(2e-4, 1e-4)
-    )[0]
+    rho = sub.density_sweep(ms.uniform(-1, 1), ms.uniform(-1, 1), 0.0, nodes)[0]
     h = np.diff(nodes)
     trap = np.concatenate([[0.0], 0.5 * h]) + np.concatenate([0.5 * h, [0.0]])
     eff = trap * np.nan_to_num(rho, nan=0.0)
@@ -177,12 +175,19 @@ def test_classical_locations_semicircle():
     assert np.all(np.diff(locs) < 0)
     assert abs(locs[0] - SC2_GAMMA_1) < 1e-4
     assert abs(locs[99] - SC2_GAMMA_100) < 3e-4
+    # sqrt(2) times the standard semicircle's locations, whose tail mass
+    # 1/2 - x sqrt(4 - x^2) / (4 pi) - arcsin(x / 2) / pi is inverted by bisection
+    target = (np.arange(1, 101) - 0.5) / 1000
+    lo, hi = np.zeros(100), np.full(100, 2.0)
+    for _ in range(60):
+        x = 0.5 * (lo + hi)
+        tail = 0.5 - x * np.sqrt(4.0 - x * x) / (4.0 * math.pi) - np.arcsin(x / 2.0) / math.pi
+        lo, hi = np.where(tail > target, x, lo), np.where(tail > target, hi, x)
+    assert np.all(np.abs(locs - ROOT2 * 0.5 * (lo + hi)) < 1e-6)
 
 
 def test_classical_locations_full_range():
-    locs = eg.classical_locations(
-        ms.semicircle(1.0), ms.semicircle(1.0), 0.0, 300, 300, grid_points=1500
-    )
+    locs = eg.classical_locations(ms.semicircle(1.0), ms.semicircle(1.0), 0.0, 300, 300)
     assert locs.shape == (300,)
     assert np.all(np.diff(locs) <= 0)
     assert locs[0] < 2.0 * ROOT2
@@ -196,11 +201,18 @@ def test_classical_locations_uniform_resubstitution():
     assert np.all(locs < UU_E_PLUS)
     # independent tail quadrature on a uniform fine grid
     grid = np.linspace(locs[-1], UU_E_PLUS - 1e-6, 400)
-    rho = sub.density_sweep(mu, mu, 0.0, grid, eta_seq=(2e-4, 1e-4))[0]
+    rho = sub.density_sweep(mu, mu, 0.0, grid)[0]
     for j in (1, 10):
         sel = grid >= locs[j - 1]
         mass = np.trapezoid(rho[sel], grid[sel])
         assert abs(mass - (j - 0.5) / 1000.0) < 2e-4
+
+
+def test_classical_locations_point_mass_shift():
+    # at t = 0 the point mass only translates the uniform density on
+    # [-100, 100], so gamma_1 leaves mass 1/400 above it: 99.5
+    locs = eg.classical_locations(ms.uniform(-100.0, 100.0), ms.point_mass(0.0), 0.0, 200, 20)
+    assert abs(locs[0] - 99.5) < 1e-4
 
 
 def test_classical_locations_reject_failed_density(monkeypatch):

@@ -232,6 +232,15 @@ def test_density_semicircle_pair():
     assert abs(rho[0] - 1.0 / (math.pi * math.sqrt(2.0))) < 1e-6
     far = sub.density_sweep(mu, mu, 0.0, np.array([6.0]))[0]
     assert far[0] <= 1e-10
+    # sc(1) + sc(1) + sc(t) is the semicircle of variance 2 + t: its square-
+    # root profile down to kappa = 1e-6 below the edge, and 0 just beyond it
+    for t in (0.0, 1.0):
+        var = 2.0 + t
+        e_plus = 2.0 * math.sqrt(var)
+        x = e_plus - np.array([1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, -1e-3])
+        exact = np.sqrt(np.maximum(4.0 * var - x * x, 0.0)) / (2.0 * math.pi * var)
+        rho = sub.density_sweep(mu, mu, t, x)[0]
+        assert np.all(np.abs(rho - exact) <= 1e-8)
 
 
 def test_density_mass_and_csv_columns():
@@ -245,51 +254,31 @@ def test_density_mass_and_csv_columns():
     assert np.all(iters >= 1)
 
 
-@pytest.mark.parametrize("etas", [(1e-3, 5e-4), (2e-3, 1e-3, 5e-4)])
-def test_density_intercept_matches_polyfit(etas):
-    mu = ms.uniform(-1.0, 1.0)
-    grid = np.linspace(-2.0, 2.0, 41)
-    rho, _, _ = sub.density_sweep(mu, mu, 0.0, grid, eta_seq=etas)
-    ims = np.array([[sub.solve(mu, mu, 0.0, complex(e, h)).m.imag for h in etas]
-                    for e in grid])
-    want = np.array([max(np.polyfit(etas, row, 1)[1] / math.pi, 0.0) for row in ims])
-    # relative to the row's values: beyond the edge the intercept cancels
-    # to ~1e-18 and polyfit's own rounding is larger than the intercept
-    scale = np.max(np.abs(ims), axis=1) / math.pi
-    assert np.all(np.abs(rho - want) <= 1e-15 * scale)
-    bulk = want > 1e-3
-    assert np.count_nonzero(bulk) > 20
-    assert np.all(np.abs(rho - want)[bulk] <= 1e-15 * want[bulk])
-
-
 def test_density_failed_lane_is_nan_at_its_point_only(monkeypatch):
-    # the first transform value of the lane at (grid[2], etas[1]) is
-    # poisoned with nan: that lane fails at its first step and only its grid
-    # point reads nan; the other eta of the same point still counts its
-    # residual and iterations
+    # the first transform value of the lane at grid[2] is poisoned with nan:
+    # that lane fails at its first step and only its grid point reads nan,
+    # with residual 0 and iterations 0
     mu = ms.uniform(-1.0, 1.0)
     grid = np.linspace(-0.5, 0.5, 5)
-    etas = (1e-3, 5e-4)
     real_h = sub._h
     calls = []
 
     def poisoned(mu_, t, w):
         out = real_h(mu_, t, w)
         if not calls:
-            out[2 * len(etas) + 1] = np.nan    # lanes are grid-major
+            out[2] = np.nan
         calls.append(len(w))
         return out
 
-    clean = sub.density_sweep(mu, mu, 0.0, grid, eta_seq=etas)
+    clean = sub.density_sweep(mu, mu, 0.0, grid)
     monkeypatch.setattr(sub, "_h", poisoned)
-    rho, resid, iters = sub.density_sweep(mu, mu, 0.0, grid, eta_seq=etas)
-    # h2, then h1 on all ten lanes; the next h2 runs without the failed lane
-    assert calls[:3] == [10, 10, 9]
-    assert np.isnan(rho[2])
+    rho, resid, iters = sub.density_sweep(mu, mu, 0.0, grid)
+    # h2, then h1 on all five lanes; the next h2 runs without the failed lane
+    assert calls[:3] == [5, 5, 4]
+    assert np.isnan(rho[2]) and resid[2] == 0.0 and iters[2] == 0
     keep = np.arange(len(grid)) != 2
     for got, want in zip((rho, resid, iters), clean):
         assert np.array_equal(got[keep], want[keep])
-    assert 0.0 < resid[2] and 0 < iters[2] < clean[2][2]
 
 
 def test_nonfinite_iterate_is_domain_error_at_once():
@@ -313,6 +302,34 @@ def test_iterate_below_axis_is_nan_point():
         sub.solve(mu1, mu2, 0.0, 0.3 + 1e-3j)
 
 
+@pytest.mark.parametrize("family", [
+    lambda s: ms.semicircle(s * s, 0.1 * s), lambda s: ms.uniform(-s, 0.8 * s),
+    lambda s: ms.arcsine(-0.6 * s, 1.2 * s),
+    lambda s: ms.atoms([-s, 0.2 * s, 0.9 * s], [0.3, 0.5, 0.2])],
+    ids=["semicircle", "uniform", "arcsine", "atoms"])
+def test_point_mass_factor_at_t0_in_either_order(family):
+    # at t = 0 the point mass's h = -c carries rounding that F' of the other
+    # factor amplifies next to its endpoints and atoms; iterated second, the
+    # plain step cycled above the tolerance there.  Either order converges
+    # at once to the same bits, the other factor's density translated by c.
+    for scale in (0.01, 1.0, 1000.0):
+        mu = family(scale)
+        for c in (0.0, 0.7 * scale, -1.3 * scale):
+            pm = ms.point_mass(c)
+            x = np.array([mu.lower, 0.5 * (mu.lower + mu.upper),
+                          mu.upper - 1e-9 * (mu.upper - mu.lower), mu.upper])
+            first = sub.density_sweep(pm, mu, 0.0, c + x)
+            second = sub.density_sweep(mu, pm, 0.0, c + x)
+            for a, b in zip(first, second):
+                assert np.array_equal(a, b)
+            rho, _, iters = second
+            assert np.all(np.isfinite(rho)) and np.all(iters <= 2)
+            # at scale 1000 a rounding of eps |c| moves z - c by about 3e-4 eta
+            z = c + x + 1j * sub._ETA
+            want = ms.stieltjes(mu, z - c).imag / np.pi
+            assert np.all(np.abs(rho - want) <= 1e-3 * want)
+
+
 FAMILIES = [ms.semicircle(1.0, 0.1), ms.uniform(-1.0, 0.8), ms.arcsine(-0.6, 1.2),
             ms.point_mass(0.3), ms.atoms([-1.0, 0.2, 0.9], [0.3, 0.5, 0.2])]
 
@@ -320,18 +337,15 @@ FAMILIES = [ms.semicircle(1.0, 0.1), ms.uniform(-1.0, 0.8), ms.arcsine(-0.6, 1.2
 @pytest.mark.parametrize("mu1", FAMILIES, ids=repr)
 @pytest.mark.parametrize("t", [0.0, 0.7])
 def test_sweep_lane_equals_solve_bitwise(mu1, t):
-    # each sweep lane runs solve's iteration on its own, so im m at every
-    # E + i eta, and so the density, equals per-point solve bit for bit
+    # each sweep lane runs solve's iteration on its own, so the density at
+    # every E equals im m / pi of per-point solve at E + i _ETA bit for bit
     mu2 = ms.uniform(-0.5, 1.0)
     grid = np.linspace(-3.0, 3.0, 13)
-    etas = (1e-3, 5e-4)
-    rho, resid, iters = sub.density_sweep(mu1, mu2, t, grid, eta_seq=etas)
-    sols = [[sub.solve(mu1, mu2, t, complex(e, h)) for h in etas] for e in grid]
-    ims = np.array([[s.m.imag for s in row] for row in sols])
-    # a halving eta pair extrapolates with the exact weights -1, 2
-    assert np.array_equal(rho, np.maximum((2.0 * ims[:, 1] - ims[:, 0]) / np.pi, 0.0))
-    assert np.array_equal(resid, [max(s.residual for s in row) for row in sols])
-    assert np.array_equal(iters, [sum(s.iterations for s in row) for row in sols])
+    rho, resid, iters = sub.density_sweep(mu1, mu2, t, grid)
+    sols = [sub.solve(mu1, mu2, t, complex(e, sub._ETA)) for e in grid]
+    assert np.array_equal(rho, [s.m.imag / np.pi for s in sols])
+    assert np.array_equal(resid, [s.residual for s in sols])
+    assert np.array_equal(iters, [s.iterations for s in sols])
 
 
 def test_sweep_subgrid_equals_full_grid():
