@@ -13,6 +13,7 @@ Exit codes: 0 pass, 1 statistical fail, 2 config error, 3 numerical failure.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -239,7 +240,6 @@ def cmd_convolve(cfg):
     hi = cfg.get("grid_hi", mu1.upper + mu2.upper + pad)
     if hi <= lo:
         raise ConfigError("grid_lo must be < grid_hi")
-    rep = eg.find_edge_stability(mu1, mu2, t)
     grid = np.linspace(lo, hi, cfg["grid_points"])
     rho, resid, iters = sub.density_sweep(mu1, mu2, t, grid)
     failed = int(np.sum(~np.isfinite(rho)))
@@ -247,6 +247,9 @@ def cmd_convolve(cfg):
     integral = "" if failed else " integral=%.6f" % float(np.trapezoid(rho, grid))
     hz.write_csv(_out_path(cfg, "density.csv"), ("x", "density"),
                  [(float(x), float(r)) for x, r in zip(grid, rho)])
+    # after the density is written: a pair without a square-root edge still
+    # leaves its density.csv when the edge search fails
+    rep = eg.find_edge_stability(mu1, mu2, t)
     hz.write_json(_out_path(cfg, "edge.json"), dataclasses.asdict(rep))
     print("convolve: e_plus=%.10g%s grid=%d failed=%d "
           "iterations=%d max_residual=%.3e"
@@ -378,7 +381,10 @@ def _key_reference():
     return "\n".join(lines)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process and shared by every `main`
+    call: parsing leaves it unchanged, and callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="freeconv",
         description="Free additive convolution, spectral edges, and "

@@ -29,7 +29,8 @@ class Measure:
     A family sets `lower` and `upper`, the smallest closed interval containing
     the support, and defines `_cdf(x)` and `_transform(z, k, scalar, on_axis)`
     for `cdf` and `stieltjes`, which check z and k first: z is a complex, or
-    a 1d complex array unless scalar; on_axis marks its real points.
+    a 1d complex array unless scalar; on_axis is None when every im z > 0,
+    else z.imag == 0.
     """
 
     # gamma of a square-root upper edge, rho(upper - kappa) ~ (gamma^{3/2} / pi) sqrt(kappa)
@@ -100,7 +101,7 @@ class uniform(_interval):
             return _uniform_on_axis(a, b, z.real)
         if k == 0:
             m = (np.log(b - z) - np.log(a - z)) / (b - a)
-            if not scalar and np.any(on_axis):
+            if not scalar and on_axis is not None:
                 m[on_axis] = _uniform_on_axis(a, b, z.real[on_axis])
             return m
         za, zb = a - z, b - z
@@ -217,13 +218,14 @@ class atoms(Measure):
 
 
 _FAMILIES = {cls.family: cls for cls in (semicircle, uniform, arcsine, point_mass, atoms)}
+_SIGNATURES = {tag: inspect.signature(cls) for tag, cls in _FAMILIES.items()}
 
 
 def from_config(tag, params):
     """Build a measure from a string tag and parameter list (config files)."""
     if tag not in _FAMILIES:
         raise ValueError("unknown measure tag %r (known: %s)" % (tag, sorted(_FAMILIES)))
-    signature = inspect.signature(_FAMILIES[tag])
+    signature = _SIGNATURES[tag]
     try:
         signature.bind(*params)
     except TypeError:
@@ -238,7 +240,8 @@ def stieltjes(mu, z, k=0):
     Accepts im z > 0 or real z outside the support interval.  Every family
     but `atoms` is evaluated in closed form.  A scalar z gives a Python
     complex; a numpy array z gives the transform elementwise, each entry to
-    the same bits whatever the array's shape (0-d too) or the entry's place.
+    the same bits whatever the array's shape (0-d too) or the entry's place,
+    except the sign of a nan entry.
     """
     scalar = not isinstance(z, np.ndarray)
     if not scalar and z.ndim != 1:
@@ -246,16 +249,20 @@ def stieltjes(mu, z, k=0):
         # scalar arithmetic does not round as its array loops do
         return stieltjes(mu, z.reshape(-1), k).reshape(z.shape)
     z = complex(z) if scalar else z.astype(complex, copy=False)
-    # at a scalar z every comparison below is already one bool
-    anywhere = bool if scalar else np.any
-    if anywhere(z.imag < 0):
-        raise ValueError("stieltjes requires im z >= 0, got %r" % (z,))
-    on_axis = z.imag == 0
-    if anywhere(on_axis):
-        inside = on_axis & (mu.lower <= z.real) & (z.real <= mu.upper)
-        if anywhere(inside):
-            raise ValueError("real z=%g lies inside the support interval [%g, %g]"
-                             % (np.extract(inside, z.real)[0], mu.lower, mu.upper))
+    # one reduction clears the common case: the least im z is > 0 only when no
+    # entry lies below the axis, on it or at nan (nan propagates through min)
+    on_axis = None
+    if not (z.imag if scalar else z.imag.min(initial=math.inf)) > 0:
+        # at a scalar z every comparison below is already one bool
+        anywhere = bool if scalar else np.any
+        if anywhere(z.imag < 0):
+            raise ValueError("stieltjes requires im z >= 0, got %r" % (z,))
+        on_axis = z.imag == 0
+        if anywhere(on_axis):
+            inside = on_axis & (mu.lower <= z.real) & (z.real <= mu.upper)
+            if anywhere(inside):
+                raise ValueError("real z=%g lies inside the support interval [%g, %g]"
+                                 % (np.extract(inside, z.real)[0], mu.lower, mu.upper))
     if k not in (0, 1, 2):
         raise ValueError("k must be in {0, 1, 2}")
     m = mu._transform(z, k, scalar, on_axis)

@@ -101,8 +101,13 @@ def _h(mu, t, w):
     return f_transform(mu, t, w) - w
 
 
+def _admissible(w):
+    """Where w is finite in the closed upper half-plane."""
+    return np.isfinite(w) & (w.imag >= 0)
+
+
 def _domain_failure(w):
-    """0 where w is finite in the closed upper half-plane, else _NOT_FINITE or _BELOW_AXIS."""
+    """0 where w is admissible, else _NOT_FINITE or _BELOW_AXIS."""
     return np.where(np.isfinite(w), np.where(w.imag < 0, _BELOW_AXIS, 0), _NOT_FINITE)
 
 
@@ -146,20 +151,21 @@ def _solve_lanes(mu1, mu2, t, z, max_iter):
             if not len(lane):
                 break
             w1 = zl + _h(mu2, t, w2)
-            code = _domain_failure(w1)
-            off = code != 0
-            w2_next = zl + _h(mu1, t, np.where(off, zl, w1))
+            ok1 = _admissible(w1)
+            w2_next = zl + _h(mu1, t, np.where(ok1, w1, zl))
             res = np.abs(w2_next - w2)
-            done = ~off & (res <= _TOL)
-            stall = ~off & ~done & (res > 0.5 * prev)
-            if np.any(stall):
+            done = ok1 & (res <= _TOL)
+            stall = ok1 & ~done & (res > 0.5 * prev)
+            if stall.any():
                 a, b, c = w1[stall], w2[stall], w2_next[stall]
                 s = (f_transform(mu1, t, a, 1) - 1.0) * (f_transform(mu2, t, b, 1) - 1.0) - 1.0
                 newton = np.where(s != 0, b - (c - b) / s, c)
                 w2_next[stall] = np.where(newton.imag >= zl[stall].imag, newton, c)
-            code = np.where(off, code, _domain_failure(w2_next))
-            out = done | (code != 0)
-            if np.any(out):
+            ok = ok1 & _admissible(w2_next)
+            out = done | ~ok
+            if out.any():
+                # a failed lane's code is that of its first inadmissible iterate
+                code = _domain_failure(np.where(ok1, w2_next, w1))
                 idx = lane[out]
                 w1_out[idx], w2_out[idx] = w1[out], w2_next[out]
                 res_out[idx], it_out[idx], status[idx] = res[out], it, code[out]

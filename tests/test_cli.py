@@ -194,6 +194,39 @@ def test_convolve_failed_density_point_exit_3(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "edge.json").exists()
 
 
+def test_convolve_writes_density_before_edge_failure(tmp_path, capsys):
+    # the uniform law shifted by a point mass has a jump, not a square-root
+    # upper edge: the edge search fails, but only after the density is written
+    assert run("convolve", "--mu1", "uniform:-1,1", "--mu2", "point_mass:0.7",
+               "--out-dir", str(tmp_path)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: Measure(uniform(-1.0, 1.0)) "
+                            "has no square-root upper edge\n")
+    assert not (tmp_path / "edge.json").exists()
+    lines = (tmp_path / "density.csv").read_text().strip().split("\n")
+    assert lines[0] == "x,density" and len(lines) == 401
+    data = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+    assert np.all(np.isfinite(data))
+    # the trapezoid rule errs by about a grid step times the jump, 2.5e-3
+    assert abs(np.trapezoid(data[:, 1], data[:, 0]) - 1.0) < 5e-3
+
+
+def test_parser_shared_across_calls(tmp_path):
+    # the parser is built once per process; no flag of one call leaks into
+    # the next, which reads its defaults: 400 points at t = 0
+    assert cli.build_parser() is cli.build_parser()
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run("convolve", "--mu1", "uniform:-1,1", "--mu2", "uniform:-1,1",
+               "--grid-points", "50", "--t", "0.5", "--out-dir", str(first)) == 0
+    assert run("convolve", "--mu1", "uniform:-1,1", "--mu2", "uniform:-1,1",
+               "--out-dir", str(second)) == 0
+    for out, rows in ((first, 50), (second, 400)):
+        assert len((out / "density.csv").read_text().strip().split("\n")) == rows + 1
+    rec = json.loads((second / "edge.json").read_text())
+    assert abs(rec["e_plus"] - 1.5429018527568684) < 1e-6
+
+
 def test_programming_error_is_not_exit_3(tmp_path, monkeypatch):
     # exit code 3 is for the package's numerical error types only; any other
     # RuntimeError is a bug and propagates

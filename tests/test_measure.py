@@ -142,6 +142,49 @@ def test_stieltjes_elementwise_over_arrays():
             ms.stieltjes(mu, np.array([1j, 0.3 + 0j]))
 
 
+def _bits(m):
+    """The bytes of a complex array, every nan entry read as one nan: the sign
+    of a nan from the transforms depends on the lane's place in the array."""
+    m = np.array(m, dtype=complex)
+    m[np.isnan(m)] = complex(math.nan, math.nan)
+    return m.tobytes()
+
+
+def test_stieltjes_guard_on_mixed_lanes():
+    # one reduction of im z clears an array whose entries all lie above the
+    # axis; a nan, real or negative im z anywhere sends the array through the
+    # full checks, and each lane still reads what it reads on its own
+    nan, inf = math.nan, math.inf
+    clean = np.array([0.3 + 0.1j, -0.5 + 2j])
+    odd = [complex(0.3, nan), 3.5 + 0j, complex(0.3, inf), complex(inf, 0.1),
+           complex(-inf, 0.1), complex(-inf, 0.0)]
+    with np.errstate(all="ignore"):
+        for mu in ONE_OF_EACH:
+            for k in (0, 1, 2):
+                base = ms.stieltjes(mu, clean, k)
+                for extra in odd:
+                    got = ms.stieltjes(mu, np.array([clean[0], extra, clean[1]]), k)
+                    assert got[[0, 2]].tobytes() == base.tobytes()
+                    assert _bits(got[1:]) == _bits(ms.stieltjes(mu, np.array([extra, clean[1]]), k))
+                    two_d = ms.stieltjes(mu, np.array([[clean[0], extra], [clean[1], extra]]), k)
+                    assert two_d.shape == (2, 2) and _bits(two_d[:, 1]) == _bits(got[[1, 1]])
+                    zero_d = ms.stieltjes(mu, np.array(extra), k)
+                    assert zero_d.shape == () and _bits(zero_d) == _bits(got[1])
+                assert np.isnan(ms.stieltjes(mu, np.array([clean[0], odd[0]]), k)[1])
+                empty = ms.stieltjes(mu, np.array([], dtype=complex), k)
+                assert empty.shape == (0,) and empty.dtype == complex
+                for z in ([0.3 - 0.1j], [complex(0.3, nan), 0.3 - 0.1j], [1j, complex(0.3, -inf)]):
+                    with pytest.raises(ValueError, match=r"requires im z >= 0"):
+                        ms.stieltjes(mu, np.array(z), k)
+                x = 0.5 * (mu.lower + mu.upper)
+                for z in ([1j, x, 10.0], [complex(0.3, nan), complex(x, 0.0)]):
+                    with pytest.raises(ValueError, match=r"real z=%g lies inside the support" % x):
+                        ms.stieltjes(mu, np.array(z, dtype=complex).reshape(1, -1), k)
+    # beyond the support the uniform law reads its real on-axis form
+    m = ms.stieltjes(ms.uniform(-1.0, 2.0), np.array([1j, 3.5 + 0j]))
+    assert m[1].imag == 0.0 and abs(m[1].real - (math.log(1.5) - math.log(4.5)) / 3.0) < 1e-15
+
+
 def test_real_z_inside_support_rejected():
     # the real z = 0.5 is the atom of the point mass
     for mu in [ms.semicircle(1.0), ms.uniform(-1.0, 1.0), ms.arcsine(-1.0, 1.0),
@@ -251,6 +294,9 @@ def test_from_config_round_trip():
                         ("uniform", [1.0]), ("atoms", [[0.0]])]:
         with pytest.raises(ValueError, match=r"%s takes \(" % tag):
             ms.from_config(tag, params)
+    with pytest.raises(ValueError) as exc:
+        ms.from_config("semicircle", [1.0, 2.0, 3.0])
+    assert str(exc.value) == "semicircle takes (variance, center=0.0), got 3 parameters"
 
 
 def test_cdf_of_every_family():
