@@ -124,23 +124,29 @@ class ExperimentReport:
         }
 
 
+def _sorted_sample(values):
+    x = np.sort(np.asarray(values, dtype=float))
+    if x.size == 0:
+        raise ValueError("empty sample")
+    if np.isnan(x[-1]):  # np.sort puts every NaN last
+        raise ValueError("sample contains NaN")
+    return x
+
+
 def ks_statistic(samples, cdf_or_samples):
     """One-sample (against a CDF callable) or two-sample KS sup-distance.
 
-    A CDF callable is called once, on the sorted sample array.
+    A CDF callable is called once, on the sorted sample array.  An empty
+    sample or a NaN entry in either sample is rejected.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
-    if x.size == 0:
-        raise ValueError("empty sample")
+    x = _sorted_sample(samples)
     if callable(cdf_or_samples):
         f = np.asarray(cdf_or_samples(x), dtype=float)
         n = x.size
         upper = np.max(np.arange(1, n + 1) / n - f)
         lower = np.max(f - np.arange(0, n) / n)
         return float(max(upper, lower))
-    y = np.sort(np.asarray(cdf_or_samples, dtype=float))
-    if y.size == 0:
-        raise ValueError("empty sample")
+    y = _sorted_sample(cdf_or_samples)
     pooled = np.concatenate([x, y])
     fx = np.searchsorted(x, pooled, side="right") / x.size
     fy = np.searchsorted(y, pooled, side="right") / y.size

@@ -65,6 +65,19 @@ def test_ks_empty_rejected():
         hz.ks_statistic([1.0], [])
 
 
+def test_ks_nan_rejected():
+    # a NaN sample must raise, not sort to the end and come back as a distance
+    nan = math.nan
+    with pytest.raises(ValueError, match="NaN"):
+        hz.ks_statistic([nan, 1.0], [0.0, 2.0])
+    with pytest.raises(ValueError, match="NaN"):
+        hz.ks_statistic([0.0, 2.0], [1.0, nan])
+    # the one-sample form rejects NaN even where the CDF would take it
+    with pytest.raises(ValueError, match="NaN"):
+        hz.ks_statistic([0.5, nan], lambda v: np.clip(v, 0.0, 1.0))
+    assert hz.ks_statistic([-math.inf, math.inf], [0.0, 1.0]) == 0.5
+
+
 # --- config and report validation ---
 
 def test_config_validation():

@@ -114,6 +114,12 @@ def test_airy_array_call_matches_oracle():
 def test_evaluator_validation():
     with pytest.raises(ValueError):
         tw.TWEvaluator(19)
+    # a non-integer order is rejected, not truncated by int() (40.5 -> 40)
+    for bad in (40.5, 40.0, "40"):
+        with pytest.raises(ValueError):
+            tw.TWEvaluator(bad)
+    assert tw.TWEvaluator(np.int64(40)).m == 40
+    assert type(tw.TWEvaluator(np.int32(40)).m) is int
 
 
 def test_cdf_tail_limits(ev):
@@ -155,7 +161,7 @@ def test_cdf_whole_line_batch(ev):
 
 
 def test_cdf_batch_matches_single_points(ev):
-    # The moments grid spans several chunks; no value may depend on which
+    # A 1,002-point grid spans several chunks; no value may depend on which
     # batch, or which position in it, computed it.
     step = 0.02
     grid = np.concatenate([np.arange(-12.0, 0.0 + 0.5 * step, step),
@@ -174,16 +180,38 @@ def test_cdf_quadrature_refinement(ev, ev80):
 
 def test_mean(ev, ev80):
     mean, _ = tw.tw2_moments(ev)
-    assert abs(mean - TW2_MEAN) < 1e-3
+    assert abs(mean - TW2_MEAN) <= 1e-12
     assert abs(mean - tw.tw2_moments(ev80)[0]) <= 1e-8
 
 
 def test_variance(ev):
     _, variance = tw.tw2_moments(ev)
-    assert abs(variance - TW2_VAR) < 1e-3
+    assert abs(variance - TW2_VAR) <= 1e-12
 
 
 def test_moments_frozen(ev):
     mean, variance = tw.tw2_moments(ev)
-    assert abs(mean - (-1.7710868074113355)) <= 1e-15
-    assert abs(variance - 0.8131281261671712) <= 1e-15
+    assert abs(mean - (-1.7710868074115973)) <= 1e-15
+    assert abs(variance - 0.8131947928329) <= 1e-15
+
+
+def test_moments_use_the_evaluator_rule(ev, ev80, monkeypatch):
+    # one m-point Gauss-Legendre panel on each side of the kink at s = 0:
+    # 2m determinants, every point inside the window and none at s = 0
+    seen = []
+    det = tw._fredholm_det
+
+    def counting(e, s):
+        seen.append(s.copy())
+        return det(e, s)
+
+    monkeypatch.setattr(tw, "_fredholm_det", counting)
+    moments = {}
+    for e in (ev, ev80):
+        seen.clear()
+        moments[e.m] = tw.tw2_moments(e)
+        points = np.concatenate(seen)
+        assert points.size == 2 * e.m
+        assert np.all((points > tw.S_LO) & (points < tw.S_HI) & (points != 0.0))
+        assert np.sum(points < 0.0) == e.m
+    assert np.max(np.abs(np.subtract(moments[40], moments[80]))) <= 1e-12
