@@ -104,7 +104,7 @@ class ExperimentReport:
     records: tuple
 
     def __post_init__(self):
-        if self.ks_statistic < 0:
+        if not self.ks_statistic >= 0:  # NaN fails this too
             raise ValueError("decision statistic must be >= 0")
 
     @property
@@ -137,11 +137,13 @@ def ks_statistic(samples, cdf_or_samples):
     """One-sample (against a CDF callable) or two-sample KS sup-distance.
 
     A CDF callable is called once, on the sorted sample array.  An empty
-    sample or a NaN entry in either sample is rejected.
+    sample, a NaN entry in either sample, or a NaN CDF value is rejected.
     """
     x = _sorted_sample(samples)
     if callable(cdf_or_samples):
         f = np.asarray(cdf_or_samples(x), dtype=float)
+        if np.isnan(f).any():
+            raise ValueError("CDF is NaN at a sample")
         n = x.size
         upper = np.max(np.arange(1, n + 1) / n - f)
         lower = np.max(f - np.arange(0, n) / n)
@@ -176,8 +178,11 @@ def _report(tag, cfg, statistic, threshold, stats, records, **echo):
     )
 
 
-# Below these, a run's samples cost less than starting a pool: a 2-worker
-# spawn pool takes about 0.3 s to start and to import numpy and freeconv.
+# Below these, a run's samples cost less than starting a pool.  Measured on
+# 2 cores at one BLAS thread, the first 2-worker pool in a process starts
+# its first task 0.19-0.24 s after it is built, since it starts the
+# forkserver, which imports numpy and freeconv; a later pool forks from that
+# server and starts its first task in about 0.02 s.
 _POOL_MIN_N = 200
 _POOL_MIN_SAMPLES_PER_WORKER = 8
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -197,14 +202,21 @@ def _map(fn, tasks, n):
     """[fn(*task) for task in tasks], in task order; n is the largest matrix
     size among the tasks.
 
-    A run that _pool_size gives more than one worker is computed in a spawn
-    pool whose workers each run BLAS on one thread.  The thread variables
-    are in the environment the workers start with, and only while they
-    start: an initializer would be too late, since a worker imports the
-    caller's main module, and with it numpy, first.  The pool is shut down
-    and its workers joined before this returns, after cancelling what has
-    not started if a task raised.  A task's result depends only on its
-    arguments, so the worker count does not change it.
+    A run that _pool_size gives more than one worker is computed in a pool
+    of workers forked from multiprocessing's forkserver ("spawn" where
+    there is none).  The first pool in a process starts the server, which
+    imports freeconv.harness, and with it numpy, once; later pools fork
+    from it.  The server (under spawn, each worker) starts inside a window
+    in which the three BLAS thread variables are 1, so every worker runs
+    BLAS on one thread, and the directory holding freeconv leads
+    PYTHONPATH: the server ignores the caller's sys.path, and without it
+    the preload would fail silently and every worker would import numpy
+    and freeconv again.  The window closes, restoring the caller's
+    environment, once the tasks are submitted.  A forkserver that other code in this process started
+    earlier is reused as it is, with its own preload and environment.  The
+    pool is shut down and its workers joined before this returns, after
+    cancelling what has not started if a task raised.  A task's result
+    depends only on its arguments, so the worker count does not change it.
     """
     workers = _pool_size(len(tasks), n)
     if workers < 2:
@@ -213,12 +225,20 @@ def _map(fn, tasks, n):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    method = "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
+    ctx = multiprocessing.get_context(method)
+    if method == "forkserver":
+        ctx.set_forkserver_preload(["freeconv.harness"])
+    pool = ProcessPoolExecutor(workers, mp_context=ctx)
     try:
-        saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+        saved = {name: os.environ.get(name) for name in (*_BLAS_THREAD_VARS, "PYTHONPATH")}
         os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        package_parent = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (package_parent,
+                                                                  saved["PYTHONPATH"])))
         try:
-            # the first `workers` submissions start the workers
+            # the first `workers` submissions start the workers, and the
+            # first of those the server if none is running
             futures = [pool.submit(fn, *task) for task in tasks]
         finally:
             for name, value in saved.items():

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -75,6 +76,9 @@ def test_ks_nan_rejected():
     # the one-sample form rejects NaN even where the CDF would take it
     with pytest.raises(ValueError, match="NaN"):
         hz.ks_statistic([0.5, nan], lambda v: np.clip(v, 0.0, 1.0))
+    # and a CDF that is NaN at one sample, which would make the distance NaN
+    with pytest.raises(ValueError, match="NaN"):
+        hz.ks_statistic([0.5, 0.7], lambda v: np.array([0.2, np.nan]))
     assert hz.ks_statistic([-math.inf, math.inf], [0.0, 1.0]) == 0.5
 
 
@@ -146,6 +150,9 @@ def test_report_flag_must_match_statistic():
     assert hz.ExperimentReport(ks_statistic=0.6, **kw).passed is False
     with pytest.raises(ValueError):
         hz.ExperimentReport(ks_statistic=-0.1, **kw)
+    # NaN would be a silent FAIL, and to_json_dict would carry a bare NaN
+    with pytest.raises(ValueError, match="decision statistic must be >= 0"):
+        hz.ExperimentReport(ks_statistic=math.nan, **kw)
 
 
 # --- Tracy-Widom experiment ---
@@ -418,6 +425,57 @@ def test_map_reraises_worker_errors(monkeypatch):
     assert str(remote.value) == str(local.value)
     assert remote.value.seed == 7
     assert multiprocessing.active_children() == []
+
+
+def _worker_blas_env():
+    return os.getpid(), [os.environ.get(name) for name in hz._BLAS_THREAD_VARS]
+
+
+def _window_vars():
+    return {name: os.environ.get(name) for name in (*hz._BLAS_THREAD_VARS, "PYTHONPATH")}
+
+
+def test_map_environment_window(monkeypatch):
+    # every worker runs BLAS on one thread, and the caller's thread variables
+    # and PYTHONPATH come back as they were, also when a task raises
+    monkeypatch.setattr(hz, "_pool_size", lambda n_tasks, n: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.setenv("OMP_NUM_THREADS", "")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    for pythonpath in (None, os.pathsep.join([SRC, "elsewhere"])):
+        if pythonpath is None:
+            monkeypatch.delenv("PYTHONPATH", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONPATH", pythonpath)
+        before = _window_vars()
+        results = hz._map(_worker_blas_env, [()] * 8, 1)
+        assert len(results) == 8
+        for pid, values in results:
+            assert pid != os.getpid()
+            assert values == ["1", "1", "1"]
+        assert _window_vars() == before
+        with pytest.raises(ValueError, match="math domain error"):
+            hz._map(math.sqrt, [(4.0,), (-1.0,)], 1)
+        assert _window_vars() == before
+
+
+@pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
+                    reason="no forkserver on this platform")
+def test_forkserver_preload_takes_effect():
+    # freeconv reachable through sys.path only, as perfbench/run.py does: the
+    # pool's server must still preload it, so numpy is imported once here and
+    # once in the server, never in a worker that unpickles a freeconv task
+    # (-X importtime reaches the server and, under spawn, every worker)
+    code = ("import sys; sys.path.insert(0, %r)\n"
+            "from freeconv import harness as hz\n"
+            "hz._pool_size = lambda n_tasks, n: 2\n"
+            "for _ in range(2):\n"
+            "    assert hz._map(hz.ks_statistic, [([0.0], [1.0])] * 2, 1) == [1.0, 1.0]\n" % SRC)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run([sys.executable, "-X", "importtime", "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    numpy_lines = [line for line in run.stderr.splitlines() if re.search(r"\|\s+numpy$", line)]
+    assert len(numpy_lines) == 2
 
 
 def test_pool_rule():
